@@ -16,15 +16,13 @@ use crate::word_logic::{replay_interval, WordOp};
 use crate::{HotPath, ResourceBudget};
 use stint_cilk::{word_range, Detector};
 use stint_faults::DetectorError;
-use stint_shadow::{BitShadow, SetFilter, WordIv, WordShadow};
+use stint_shadow::{BitShadow, WordIv, WordShadow};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
 /// Runtime-coalescing detector over the word-granularity access history.
 pub struct CompRtsDetector {
     reads: BitShadow,
     writes: BitShadow,
-    read_filter: SetFilter,
-    write_filter: SetFilter,
     shadow: WordShadow,
     scratch: Vec<WordIv>,
     hot: HotPath,
@@ -42,8 +40,6 @@ impl CompRtsDetector {
         CompRtsDetector {
             reads: BitShadow::new(),
             writes: BitShadow::new(),
-            read_filter: SetFilter::new(),
-            write_filter: SetFilter::new(),
             shadow: WordShadow::new(),
             scratch: Vec::new(),
             hot: HotPath::default(),
@@ -59,7 +55,9 @@ impl CompRtsDetector {
         }
     }
 
-    /// Select which hot-path optimizations to use (default: all on).
+    /// Select which hot-path optimizations to use (default: all on). Hooks
+    /// always go straight to the bit tables; [`HotPath::batched`] selects
+    /// the page-batched word replay of the extracted intervals at flush.
     pub fn with_hot_path(mut self, hot: HotPath) -> Self {
         self.hot = hot;
         if !hot.gated_timing {
@@ -94,7 +92,6 @@ impl CompRtsDetector {
         let mut ivs = std::mem::take(&mut self.scratch);
         ivs.clear();
         self.reads.extract_and_clear(&mut ivs);
-        self.read_filter.reset();
         for &(lo, hi) in &ivs {
             self.stats.read.intervals += 1;
             self.stats.read.interval_bytes += (hi - lo) * 4;
@@ -112,7 +109,6 @@ impl CompRtsDetector {
         }
         ivs.clear();
         self.writes.extract_and_clear(&mut ivs);
-        self.write_filter.reset();
         for &(lo, hi) in &ivs {
             self.stats.write.intervals += 1;
             self.stats.write.interval_bytes += (hi - lo) * 4;
@@ -156,18 +152,7 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
         self.stats.read.hooks += 1;
         self.stats.read.hook_bytes += bytes as u64;
         self.stats.read.words += hi - lo;
-        // The bit table is monotone until the strand-end flush, so a range
-        // the filter has seen set this strand can skip it entirely.
-        if self.hot.batched {
-            if !self.read_filter.covers(lo, hi) {
-                self.reads.set_range(lo, hi);
-                if lo < hi {
-                    self.read_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.reads.set_range(lo, hi);
-        }
+        self.reads.set_range(lo, hi);
     }
 
     #[inline]
@@ -177,16 +162,7 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
         self.stats.write.hooks += 1;
         self.stats.write.hook_bytes += bytes as u64;
         self.stats.write.words += hi - lo;
-        if self.hot.batched {
-            if !self.write_filter.covers(lo, hi) {
-                self.writes.set_range(lo, hi);
-                if lo < hi {
-                    self.write_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.writes.set_range(lo, hi);
-        }
+        self.writes.set_range(lo, hi);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -213,7 +189,6 @@ impl<R: Reachability> Detector<R> for CompRtsDetector {
         self.stats.reach_flushes = self.cache.flushes;
         self.stats.page_batches = self.shadow.batches;
         self.stats.page_batch_words = self.shadow.batched_words;
-        self.stats.hook_filter_hits = self.read_filter.hits + self.write_filter.hits;
         self.stats.ah_bytes = self.shadow.heap_bytes();
         self.stats.coalesce_bytes = self.reads.heap_bytes() + self.writes.heap_bytes();
     }

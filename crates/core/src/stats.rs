@@ -63,9 +63,9 @@ pub struct DetectorStats {
     pub reach_misses: u64,
     /// Strand-boundary invalidations of the reachability cache.
     pub reach_flushes: u64,
-    /// Instrumentation hooks elided by the redundant-`set_range` filter:
-    /// the hook's word range was already fully set in the bit table this
-    /// strand, so the table (and its page lookup) was skipped entirely.
+    /// Always 0: the hook-side redundant-`set_range` filter this counted
+    /// was removed (every hook now goes to the bit table's one-group fast
+    /// path). Kept so existing readers of the stats schema stay valid.
     pub hook_filter_hits: u64,
     /// Single-page runs processed by the batched shadow-replay path.
     pub page_batches: u64,

@@ -28,7 +28,7 @@ use crate::{HotPath, ResourceBudget};
 use stint_cilk::{word_range, Detector};
 use stint_faults::{DetectorError, Resource};
 use stint_ivtree::{FlatStore, Interval, IntervalStore, Treap};
-use stint_shadow::{BitShadow, SetFilter, WordIv};
+use stint_shadow::{BitShadow, WordIv};
 use stint_sporder::{ReachCache, Reachability, StrandId};
 
 /// Pseudo-accessor recorded over freed regions: it conflicts with nothing
@@ -44,8 +44,6 @@ pub type StintFlatDetector = IntervalDetector<FlatStore<StrandId>>;
 pub struct IntervalDetector<S> {
     reads: BitShadow,
     writes: BitShadow,
-    read_filter: SetFilter,
-    write_filter: SetFilter,
     read_tree: S,
     write_tree: S,
     scratch_r: Vec<WordIv>,
@@ -113,8 +111,6 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
         IntervalDetector {
             reads: BitShadow::new(),
             writes: BitShadow::new(),
-            read_filter: SetFilter::new(),
-            write_filter: SetFilter::new(),
             read_tree,
             write_tree,
             scratch_r: Vec::new(),
@@ -134,12 +130,13 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
         }
     }
 
-    /// Select which hot-path optimizations to use (default: all on). The
-    /// interval detector has no word-replay loop; here [`HotPath::batched`]
-    /// enables the hook-side redundant-`set_range` filter (a load/store
-    /// whose word range is already set in the bit table this strand skips
-    /// the table entirely), while [`HotPath::reach_cache`] and
-    /// [`HotPath::gated_timing`] work as in the word-granularity detectors.
+    /// Select which hot-path optimizations to use (default: all on). Hooks
+    /// always go straight to the bit tables, whose one-group fast path is
+    /// the whole hook cost. The interval detector has no word-replay loop;
+    /// here [`HotPath::batched`] selects the batched strand-end flush (all
+    /// cross-tree checks, then one bulk insert per tree), while
+    /// [`HotPath::reach_cache`] and [`HotPath::gated_timing`] work as in the
+    /// word-granularity detectors.
     pub fn with_hot_path(mut self, hot: HotPath) -> Self {
         self.hot = hot;
         if !hot.gated_timing {
@@ -194,18 +191,7 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         self.stats.read.hooks += 1;
         self.stats.read.hook_bytes += bytes as u64;
         self.stats.read.words += hi - lo;
-        // The bit table is monotone until the strand-end flush, so a range
-        // the filter has seen set this strand can skip it entirely.
-        if self.hot.batched {
-            if !self.read_filter.covers(lo, hi) {
-                self.reads.set_range(lo, hi);
-                if lo < hi {
-                    self.read_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.reads.set_range(lo, hi);
-        }
+        self.reads.set_range(lo, hi);
     }
 
     #[inline]
@@ -218,16 +204,7 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         self.stats.write.hooks += 1;
         self.stats.write.hook_bytes += bytes as u64;
         self.stats.write.words += hi - lo;
-        if self.hot.batched {
-            if !self.write_filter.covers(lo, hi) {
-                self.writes.set_range(lo, hi);
-                if lo < hi {
-                    self.write_filter.record(lo, hi);
-                }
-            }
-        } else {
-            self.writes.set_range(lo, hi);
-        }
+        self.writes.set_range(lo, hi);
     }
 
     fn free(&mut self, s: StrandId, addr: usize, bytes: usize, reach: &R) {
@@ -261,7 +238,6 @@ impl<S: IntervalStore<StrandId>, R: Reachability> Detector<R> for IntervalDetect
         self.stats.reach_hits = self.cache.hits;
         self.stats.reach_misses = self.cache.misses;
         self.stats.reach_flushes = self.cache.flushes;
-        self.stats.hook_filter_hits = self.read_filter.hits + self.write_filter.hits;
         self.stats.ah_bytes = t.bytes;
         self.stats.coalesce_bytes = self.reads.heap_bytes() + self.writes.heap_bytes();
         self.stats.treap_inserts = t.inserts;
@@ -304,8 +280,6 @@ impl<S: IntervalStore<StrandId>> IntervalDetector<S> {
         writes.clear();
         self.reads.extract_and_clear(&mut reads);
         self.writes.extract_and_clear(&mut writes);
-        self.read_filter.reset();
-        self.write_filter.reset();
         for &(lo, hi) in &reads {
             self.stats.read.intervals += 1;
             self.stats.read.interval_bytes += (hi - lo) * 4;

@@ -8,13 +8,19 @@
 //! overlapping accesses merge), temporal coalescing and deduplication
 //! (repeated accesses set the same bits once).
 //!
-//! The table is two-level: a [`PageMap`] from chunk number to a lazily
-//! allocated chunk of 1024 `u64` bitmap groups (one chunk covers 2^16 words =
-//! 256 KiB of program data). A dirty vector remembers every bitmap group that
-//! became non-zero during the strand, so extraction and clearing cost
-//! O(groups touched · log) — independent of how much of the table is
-//! allocated. (The `log` is the sort that puts the intervals in address
-//! order; the paper's "vectors … to remember indices" serve the same role.)
+//! The table is a [`PageMap`] from chunk number to a slot in one flat arena
+//! of `u64` bitmap groups: slot `i` owns groups `[i*1024, (i+1)*1024)`, so
+//! one chunk covers 2^16 words = 256 KiB of program data. A dirty vector
+//! remembers every bitmap group that became non-zero during the strand, so
+//! extraction and clearing cost O(groups touched · log) — independent of how
+//! much of the table is allocated. (The `log` is the sort that puts the
+//! intervals in address order; the paper's "vectors … to remember indices"
+//! serve the same role.)
+//!
+//! Nearly every hook touches a single 64-word group, so [`BitShadow::set_range`]
+//! inlines exactly that case — one mask, one OR, a dirty push on the group's
+//! first touch — with the chunk lookup short-circuited by a one-entry cache;
+//! map lookups, allocation and multi-group ranges are out of line.
 
 use crate::pagemap::PageMap;
 use crate::WordIv;
@@ -23,14 +29,14 @@ use stint_faults::{DetectorError, Resource};
 // Observability (no-ops costing one relaxed load while `stint-obs` is
 // disabled).
 static OBS_CHUNK_ALLOCS: stint_obs::Counter = stint_obs::Counter::new("shadow.chunk_allocs");
-static OBS_FILTER_ELISIONS: stint_obs::Counter = stint_obs::Counter::new("shadow.filter_elisions");
 static OBS_BIT_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("shadow.bit_bytes");
 
 /// log2 of bitmap groups per chunk.
 const GROUPS_PER_CHUNK_BITS: u32 = 10;
 const GROUPS_PER_CHUNK: usize = 1 << GROUPS_PER_CHUNK_BITS;
 
-/// Sentinel slot meaning "chunk could not be allocated; drop these bits".
+/// Sentinel arena base meaning "chunk could not be allocated; drop these
+/// bits".
 ///
 /// Unlike [`crate::WordShadow`]'s sink page, a shared chunk would be
 /// *unsound* here: [`BitShadow::extract_and_clear`] merges dirty groups into
@@ -38,7 +44,7 @@ const GROUPS_PER_CHUNK: usize = 1 << GROUPS_PER_CHUNK_BITS;
 /// intervals the program never accessed. Dropping the bits instead only ever
 /// *under*-reports accesses past the exhaustion point — the documented
 /// "sound up to that point" degradation.
-const DROPPED: u32 = u32::MAX;
+const DROPPED: usize = usize::MAX;
 
 /// The runtime-coalescing bit table. One instance tracks one access kind
 /// (the detector keeps separate read and write instances, as in the paper).
@@ -57,19 +63,19 @@ const DROPPED: u32 = u32::MAX;
 /// assert!(bits.is_clear());
 /// ```
 pub struct BitShadow {
+    /// Chunk number → arena slot.
     map: PageMap,
-    chunks: Vec<Box<[u64]>>,
+    /// The chunk arena: slot `i` owns `bits[i*1024..(i+1)*1024]`.
+    bits: Vec<u64>,
     /// Global bitmap-group ids (`word >> 6`) that became non-zero during the
     /// current strand, in first-touch order.
     dirty: Vec<u64>,
-    /// Cache of the last (chunk_no, slot) to skip the map on sequential hits.
-    last_chunk: (u64, u32),
-    /// Total `set_range` invocations (hook-level operations).
-    pub set_calls: u64,
-    /// Total bitmap groups made dirty across all strands.
-    pub groups_touched: u64,
+    /// Cache of the last (chunk_no, arena base) to skip the map on
+    /// sequential hits; the base is [`DROPPED`] for an unallocatable chunk.
+    last_chunk: (u64, usize),
     /// Maximum number of chunks that may be allocated (`u64::MAX` when
-    /// unbounded; set by a budget or a `shadow-pages` fault).
+    /// unbounded; set by a budget or a `shadow-pages` fault). The arena
+    /// never reserves past it.
     chunk_cap: u64,
     /// Allocation index that should fail with simulated OOM (`shadow-oom-at`
     /// fault; `u64::MAX` when disabled).
@@ -93,125 +99,6 @@ impl Drop for BitShadow {
     }
 }
 
-/// Hook-side filter for redundant [`BitShadow::set_range`] calls.
-///
-/// Within one strand the bit table is monotone — bits only accumulate until
-/// the next [`BitShadow::extract_and_clear`] — so a range covered by an
-/// earlier `set_range` of the same strand can skip the table entirely. The
-/// filter keeps the last two distinct set ranges (two, because inner loops
-/// commonly alternate between two arrays); a recorded range that overlaps or
-/// abuts the most recent entry merges into it, so sequential scans collapse
-/// into one growing entry. Must be [`reset`](SetFilter::reset) whenever the
-/// table is extracted or cleared.
-///
-/// The filter is self-regulating: per-workload hit rates are strongly bimodal
-/// (a phase either re-touches whole ranges constantly or essentially never),
-/// so it evaluates itself every [`TRIAL`](SetFilter::TRIAL) probes. A window
-/// with a hit rate below 1/4 switches the filter off for a penalty period
-/// (doubling per consecutive failure, capped), reducing the per-hook cost on
-/// filter-hostile traffic to one predictable branch; the periodic re-trial
-/// lets it come back when the workload enters a re-touching phase.
-#[derive(Clone, Copy, Debug)]
-pub struct SetFilter {
-    ranges: [(u64, u64); 2],
-    /// `set_range` calls skipped because the range was already covered
-    /// (cumulative over the whole run, for statistics).
-    pub hits: u64,
-    /// Probes and hits in the current evaluation window.
-    w_probes: u32,
-    w_hits: u32,
-    /// Remaining `covers` calls to wave through while switched off.
-    skip: u32,
-    /// Length of the next off period; doubles per consecutive failed trial.
-    penalty: u32,
-}
-
-impl Default for SetFilter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SetFilter {
-    /// Evaluation-window length. Long enough to see past a cold start, short
-    /// enough that a hostile phase pays a negligible fraction of its hooks.
-    pub const TRIAL: u32 = 4096;
-    /// Shortest off period after a failed trial.
-    pub const MIN_PENALTY: u32 = 4 * Self::TRIAL;
-    /// Backoff cap: even permanently hostile traffic re-trials this often.
-    pub const MAX_PENALTY: u32 = 64 * Self::TRIAL;
-
-    pub const fn new() -> Self {
-        SetFilter {
-            // (1, 0) is empty: it covers nothing.
-            ranges: [(1, 0); 2],
-            hits: 0,
-            w_probes: 0,
-            w_hits: 0,
-            skip: 0,
-            penalty: Self::MIN_PENALTY,
-        }
-    }
-
-    /// True if every word of `[lo, hi)` is known to be set already (the
-    /// caller may skip `set_range`).
-    #[inline]
-    pub fn covers(&mut self, lo: u64, hi: u64) -> bool {
-        if self.skip > 0 {
-            self.skip -= 1;
-            return false;
-        }
-        self.w_probes += 1;
-        let mut hit = false;
-        for (a, b) in self.ranges {
-            if lo >= a && hi <= b {
-                hit = true;
-                break;
-            }
-        }
-        if hit {
-            self.hits += 1;
-            self.w_hits += 1;
-            OBS_FILTER_ELISIONS.incr();
-        }
-        if self.w_probes == Self::TRIAL {
-            if self.w_hits * 4 < Self::TRIAL {
-                self.skip = self.penalty;
-                self.penalty = (self.penalty * 2).min(Self::MAX_PENALTY);
-            } else {
-                self.penalty = Self::MIN_PENALTY;
-            }
-            self.w_probes = 0;
-            self.w_hits = 0;
-        }
-        hit
-    }
-
-    /// Record that `[lo, hi)` has been set (callers pass non-empty ranges).
-    #[inline]
-    pub fn record(&mut self, lo: u64, hi: u64) {
-        if self.skip > 0 {
-            return;
-        }
-        let (a, b) = self.ranges[0];
-        if lo <= b && hi >= a {
-            // Overlapping or abutting the newest entry: their union is fully
-            // set, so grow it in place.
-            self.ranges[0] = (a.min(lo), b.max(hi));
-        } else {
-            self.ranges[1] = self.ranges[0];
-            self.ranges[0] = (lo, hi);
-        }
-    }
-
-    /// Forget the ranges (the table was extracted or cleared). The trial
-    /// state persists — on/off is a property of the traffic, not the strand.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.ranges = [(1, 0); 2];
-    }
-}
-
 impl BitShadow {
     /// Create an empty table. Samples the installed fault plan (if any), so
     /// plans must be installed before the structures they should affect are
@@ -219,11 +106,9 @@ impl BitShadow {
     pub fn new() -> Self {
         let mut b = BitShadow {
             map: PageMap::new(),
-            chunks: Vec::new(),
+            bits: Vec::new(),
             dirty: Vec::new(),
-            last_chunk: (u64::MAX, 0),
-            set_calls: 0,
-            groups_touched: 0,
+            last_chunk: (u64::MAX, DROPPED),
             chunk_cap: u64::MAX,
             oom_at: u64::MAX,
             exhausted: None,
@@ -242,15 +127,13 @@ impl BitShadow {
 
     /// Number of chunks allocated (they persist across strands).
     pub fn chunks_allocated(&self) -> usize {
-        self.chunks.len()
+        self.bits.len() / GROUPS_PER_CHUNK
     }
 
-    /// Total heap bytes owned: chunk bitmaps, the chunk directory vec, the
-    /// dirty list and the first-level map.
+    /// Total heap bytes owned: the chunk arena's capacity, the dirty list
+    /// and the first-level map.
     pub fn heap_bytes(&self) -> u64 {
-        (self.chunks.len() * GROUPS_PER_CHUNK * 8
-            + self.chunks.capacity() * std::mem::size_of::<Box<[u64]>>()
-            + self.dirty.capacity() * std::mem::size_of::<u64>()) as u64
+        ((self.bits.capacity() + self.dirty.capacity()) * std::mem::size_of::<u64>()) as u64
             + self.map.heap_bytes()
     }
 
@@ -278,25 +161,23 @@ impl BitShadow {
         self.exhausted.clone()
     }
 
-    #[inline]
-    fn chunk_slot(&mut self, chunk_no: u64) -> u32 {
-        if self.last_chunk.0 == chunk_no {
-            return self.last_chunk.1;
-        }
-        if let Some(slot) = self.map.get(chunk_no) {
-            self.last_chunk = (chunk_no, slot);
-            return slot;
-        }
-        self.chunk_slot_alloc(chunk_no)
+    /// Miss path of the chunk cache: look the chunk up, allocating it on
+    /// first touch, or record exhaustion and report [`DROPPED`] when the cap
+    /// is reached or the simulated OOM fires.
+    #[cold]
+    #[inline(never)]
+    fn chunk_base_miss(&mut self, chunk_no: u64) -> usize {
+        let base = match self.map.get(chunk_no) {
+            Some(slot) => slot as usize * GROUPS_PER_CHUNK,
+            None => self.alloc_chunk(chunk_no),
+        };
+        self.last_chunk = (chunk_no, base);
+        base
     }
 
-    /// Miss path: allocate the chunk, or record exhaustion and report
-    /// [`DROPPED`] when the cap is reached or the simulated OOM fires.
-    #[cold]
-    fn chunk_slot_alloc(&mut self, chunk_no: u64) -> u32 {
-        let allocs = self.chunks.len() as u64;
-        let capped = allocs >= self.chunk_cap;
-        if capped || allocs == self.oom_at {
+    fn alloc_chunk(&mut self, chunk_no: u64) -> usize {
+        let allocs = self.chunks_allocated() as u64;
+        if allocs >= self.chunk_cap || allocs == self.oom_at {
             if self.exhausted.is_none() {
                 stint_obs::event("fault.shadow_chunk_exhausted");
                 self.exhausted = Some(DetectorError::ResourceExhausted {
@@ -305,19 +186,45 @@ impl BitShadow {
                     at_word: Some(chunk_no << (GROUPS_PER_CHUNK_BITS + 6)),
                 });
             }
-            self.last_chunk = (chunk_no, DROPPED);
             return DROPPED;
         }
         OBS_CHUNK_ALLOCS.incr();
-        let chunks = &mut self.chunks;
-        let slot = self.map.get_or_insert_with(chunk_no, || {
-            let idx = chunks.len() as u32;
-            chunks.push(vec![0u64; GROUPS_PER_CHUNK].into_boxed_slice());
-            idx
-        });
-        self.last_chunk = (chunk_no, slot);
+        let base = self.bits.len();
+        let need = base + GROUPS_PER_CHUNK;
+        if need > self.bits.capacity() {
+            // Amortized doubling, clamped so the arena never reserves past
+            // the chunk cap: a `--max-shadow-mb` budget stays a hard bound.
+            let cap_groups = self.chunk_cap.saturating_mul(GROUPS_PER_CHUNK as u64);
+            let target = (2 * self.bits.capacity() as u64)
+                .min(cap_groups)
+                .max(need as u64);
+            self.bits.reserve_exact(target as usize - base);
+        }
+        self.bits.resize(need, 0);
+        self.map
+            .get_or_insert_with(chunk_no, || (base / GROUPS_PER_CHUNK) as u32);
         self.note_mem();
-        slot
+        base
+    }
+
+    /// OR `mask` into bitmap group `g`, noting the group dirty on its first
+    /// touch this strand.
+    #[inline(always)]
+    fn or_group(&mut self, g: u64, mask: u64) {
+        let chunk_no = g >> GROUPS_PER_CHUNK_BITS;
+        let base = if self.last_chunk.0 == chunk_no {
+            self.last_chunk.1
+        } else {
+            self.chunk_base_miss(chunk_no)
+        };
+        if base == DROPPED {
+            return;
+        }
+        let cell = &mut self.bits[base + (g as usize & (GROUPS_PER_CHUNK - 1))];
+        if *cell == 0 {
+            self.dirty.push(g);
+        }
+        *cell |= mask;
     }
 
     /// Mark the words `[start, end)` as accessed in the current strand.
@@ -326,32 +233,25 @@ impl BitShadow {
         if start >= end {
             return;
         }
-        self.set_calls += 1;
-        let first_group = start >> 6;
-        let last_group = (end - 1) >> 6;
-        for g in first_group..=last_group {
-            let lo = if g == first_group { start & 63 } else { 0 };
-            let hi = if g == last_group {
-                ((end - 1) & 63) + 1
-            } else {
-                64
-            };
-            let mask = if hi - lo == 64 {
-                !0u64
-            } else {
-                ((1u64 << (hi - lo)) - 1) << lo
-            };
-            let slot = self.chunk_slot(g >> GROUPS_PER_CHUNK_BITS);
-            if slot == DROPPED {
-                continue;
-            }
-            let cell = &mut self.chunks[slot as usize][(g as usize) & (GROUPS_PER_CHUNK - 1)];
-            if *cell == 0 {
-                self.dirty.push(g);
-                self.groups_touched += 1;
-            }
-            *cell |= mask;
+        let g = start >> 6;
+        if g == (end - 1) >> 6 {
+            let mask = (!0u64 << (start & 63)) & (!0u64 >> (63 - ((end - 1) & 63)));
+            self.or_group(g, mask);
+        } else {
+            self.set_multi(start, end);
         }
+    }
+
+    /// [`set_range`](Self::set_range) for a range spanning several groups:
+    /// partial masks at the two ends, whole-`u64` masks in between.
+    #[inline(never)]
+    fn set_multi(&mut self, start: u64, end: u64) {
+        let (first, last) = (start >> 6, (end - 1) >> 6);
+        self.or_group(first, !0u64 << (start & 63));
+        for g in first + 1..last {
+            self.or_group(g, !0u64);
+        }
+        self.or_group(last, !0u64 >> (63 - ((end - 1) & 63)));
     }
 
     /// True if no bits are currently set.
@@ -368,13 +268,18 @@ impl BitShadow {
         }
         self.dirty.sort_unstable();
         let mut open: Option<WordIv> = None;
-        // Take dirty out of self to appease the borrow checker.
-        let dirty = std::mem::take(&mut self.dirty);
-        for &g in &dirty {
-            let slot = self.chunk_slot(g >> GROUPS_PER_CHUNK_BITS) as usize;
-            let cell = &mut self.chunks[slot][(g as usize) & (GROUPS_PER_CHUNK - 1)];
-            let mut bits = *cell;
-            *cell = 0;
+        let mut cached = (u64::MAX, 0usize);
+        for &g in &self.dirty {
+            let chunk_no = g >> GROUPS_PER_CHUNK_BITS;
+            if cached.0 != chunk_no {
+                let slot = self
+                    .map
+                    .get(chunk_no)
+                    .expect("dirty group in an allocated chunk");
+                cached = (chunk_no, slot as usize * GROUPS_PER_CHUNK);
+            }
+            let cell = &mut self.bits[cached.1 + (g as usize & (GROUPS_PER_CHUNK - 1))];
+            let mut bits = std::mem::take(cell);
             debug_assert_ne!(bits, 0, "dirty group with no bits set");
             let base = g << 6;
             while bits != 0 {
@@ -396,7 +301,6 @@ impl BitShadow {
                 }
             }
         }
-        self.dirty = dirty;
         self.dirty.clear();
         if let Some(iv) = open {
             out.push(iv);
@@ -412,7 +316,6 @@ impl BitShadow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn extract(b: &mut BitShadow) -> Vec<WordIv> {
         let mut v = Vec::new();
@@ -445,7 +348,6 @@ mod tests {
             b.set_range(100, 108);
         }
         assert_eq!(extract(&mut b), vec![(100, 108)]);
-        assert_eq!(b.set_calls, 100);
     }
 
     #[test]
@@ -462,43 +364,6 @@ mod tests {
         let mut b = BitShadow::new();
         b.set_range(60, 70); // spans groups 0 and 1
         assert_eq!(extract(&mut b), vec![(60, 70)]);
-    }
-
-    #[test]
-    fn capped_chunks_drop_bits_soundly() {
-        let mut b = BitShadow::new();
-        b.set_chunk_cap(1);
-        b.set_range(10, 20);
-        assert!(b.exhausted().is_none());
-        // A second chunk (words >= 2^16) cannot be allocated: its bits are
-        // dropped, not aliased into an existing chunk.
-        let far = 5u64 << 16;
-        b.set_range(far, far + 8);
-        let err = b.exhausted().expect("cap must be recorded");
-        match err {
-            DetectorError::ResourceExhausted {
-                resource: Resource::ShadowPages,
-                limit: 1,
-                at_word: Some(at),
-            } => assert_eq!(at, far),
-            other => panic!("unexpected error {other:?}"),
-        }
-        // The tracked interval survives; the dropped one never appears.
-        assert_eq!(extract(&mut b), vec![(10, 20)]);
-        // Subsequent strands keep working within the allocated chunk.
-        b.set_range(30, 32);
-        b.set_range(far + 100, far + 200);
-        assert_eq!(extract(&mut b), vec![(30, 32)]);
-        assert_eq!(b.chunks_allocated(), 1);
-    }
-
-    #[test]
-    fn run_across_chunk_boundary() {
-        let mut b = BitShadow::new();
-        let boundary = 1u64 << 16;
-        b.set_range(boundary - 3, boundary + 3);
-        assert_eq!(extract(&mut b), vec![(boundary - 3, boundary + 3)]);
-        assert_eq!(b.chunks_allocated(), 2);
     }
 
     #[test]
@@ -538,125 +403,5 @@ mod tests {
         b.set_range(5, 6);
         b.set_range(70, 90);
         assert_eq!(extract(&mut b), vec![(5, 6), (70, 90), (1000, 1001)]);
-    }
-
-    #[test]
-    fn set_filter_covers_and_merges() {
-        let mut f = SetFilter::new();
-        assert!(!f.covers(0, 1), "empty filter covers nothing");
-        f.record(10, 20);
-        assert!(f.covers(10, 20));
-        assert!(f.covers(12, 15));
-        assert!(!f.covers(5, 12));
-        assert!(!f.covers(15, 25));
-        // Abutting range merges into one growing entry.
-        f.record(20, 30);
-        assert!(f.covers(10, 30));
-        // A distant range occupies the second slot; both stay covered.
-        f.record(100, 110);
-        assert!(f.covers(100, 110));
-        assert!(f.covers(10, 30));
-        // A third distinct range evicts the oldest.
-        f.record(200, 210);
-        assert!(f.covers(200, 210));
-        assert!(f.covers(100, 110));
-        assert!(!f.covers(10, 30));
-        assert!(f.hits >= 6);
-        f.reset();
-        assert!(!f.covers(200, 210));
-    }
-
-    #[test]
-    fn set_filter_backs_off_and_retrials() {
-        let mut f = SetFilter::new();
-        // All-miss traffic: every probe sees a fresh range.
-        for i in 0..SetFilter::TRIAL as u64 {
-            assert!(!f.covers(i * 100, i * 100 + 1));
-            f.record(i * 100, i * 100 + 1);
-        }
-        // Off now: even a just-recorded range no longer reports covered, and
-        // record calls are ignored for the whole penalty period.
-        let last = (SetFilter::TRIAL as u64 - 1) * 100;
-        assert!(!f.covers(last, last + 1));
-        f.record(7, 9);
-        assert!(!f.covers(7, 9));
-        assert_eq!(f.hits, 0);
-        // Burn the remaining penalty (two probes consumed above), then show
-        // the re-trial window is live again: hits start counting.
-        for _ in 0..SetFilter::MIN_PENALTY - 2 {
-            assert!(!f.covers(0, 1));
-        }
-        f.record(0, 64);
-        assert!(f.covers(3, 10));
-        assert_eq!(f.hits, 1);
-
-        // A hit-rich stream keeps the filter on across many windows.
-        let mut f = SetFilter::new();
-        f.record(0, 64);
-        for _ in 0..4 * SetFilter::TRIAL {
-            assert!(f.covers(3, 10));
-        }
-    }
-
-    /// Randomized: a `BitShadow` guarded by the filter extracts the same
-    /// intervals as an unguarded one.
-    #[test]
-    fn set_filter_differential() {
-        let mut state: u64 = 0x5E7F_17E8;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _round in 0..100 {
-            let mut plain = BitShadow::new();
-            let mut filtered = BitShadow::new();
-            let mut f = SetFilter::new();
-            for _ in 0..(next() % 30 + 1) {
-                let lo = next() % 300;
-                let hi = lo + next() % 50 + 1;
-                plain.set_range(lo, hi);
-                if !f.covers(lo, hi) {
-                    filtered.set_range(lo, hi);
-                    f.record(lo, hi);
-                }
-            }
-            assert_eq!(extract(&mut plain), extract(&mut filtered));
-        }
-    }
-
-    /// Randomized differential test against a BTreeSet of words.
-    #[test]
-    fn random_vs_reference() {
-        let mut state: u64 = 0xABCDEF;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _round in 0..200 {
-            let mut b = BitShadow::new();
-            let mut reference = BTreeSet::new();
-            let n = (next() % 40 + 1) as usize;
-            for _ in 0..n {
-                let start = next() % 500;
-                let len = next() % 80 + 1;
-                b.set_range(start, start + len);
-                for w in start..start + len {
-                    reference.insert(w);
-                }
-            }
-            // Expected intervals from the reference set.
-            let mut want: Vec<WordIv> = Vec::new();
-            for &w in &reference {
-                match want.last_mut() {
-                    Some((_, e)) if *e == w => *e = w + 1,
-                    _ => want.push((w, w + 1)),
-                }
-            }
-            assert_eq!(extract(&mut b), want);
-        }
     }
 }

@@ -22,7 +22,7 @@ pub mod bits;
 pub mod pagemap;
 pub mod word;
 
-pub use bits::{BitShadow, SetFilter};
+pub use bits::BitShadow;
 pub use pagemap::PageMap;
 pub use word::{WordEntry, WordShadow, NO_STRAND};
 

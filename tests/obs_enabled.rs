@@ -114,7 +114,7 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
         "sporder.reach_cache_hits",
         "ivtree.inserts",
         "shadow.page_allocs",
-        "shadow.filter_elisions",
+        "shadow.chunk_allocs",
         "cilkrt.workers_spawned",
         "cilkrt.spawns",
         "batchdet.shard.runs",
