@@ -10,30 +10,36 @@
 //!    `series`/`parallel`/`left_of` relation is *read-only*: every query is
 //!    a pair of rank comparisons on immutable vectors, safe to share across
 //!    threads with no synchronization.
-//! 2. **Partition the event stream in one O(n) pass**: the 4-byte-word
-//!    address space touched by the trace is split into `K` contiguous
-//!    shards at *event-weight quantiles* of a bucketed access histogram
-//!    (so shards are load-balanced, not just width-balanced), and a single
-//!    scan routes each event to exactly the shards its word range overlaps
-//!    (clipped at the boundary). Total partition work is O(n + straddlers),
-//!    not the O(K·n) of the historical clip-per-shard design where every
-//!    shard re-scanned the whole stream.
-//! 3. **Fan the per-shard event vectors out** as fork-join tasks on the
-//!    `stint-cilkrt` work-stealing pool; each shard replays its
-//!    pre-clipped subsequence through a private STINT interval detector.
+//! 2. **Plan `K` contiguous shards** of the 4-byte-word address space the
+//!    trace touches, cut at *event-weight quantiles* of a bucketed access
+//!    histogram (so shards are load-balanced, not just width-balanced). Each
+//!    shard owns its cut-points: shard 0 starts at word 0 and the last shard
+//!    ends at `u64::MAX`, so the shards tile every word.
+//! 3. **Fan the shards out** as fork-join tasks on the `stint-cilkrt`
+//!    work-stealing pool. Each shard scans the shared event stream *in
+//!    place* and feeds the accesses it overlaps, clipped at its boundary,
+//!    to a private STINT interval detector. Skipping what misses the shard costs one
+//!    bounding-box compare per event or run per shard (K compares per run,
+//!    all on the parallel side); detector work stays O(n + straddlers), not
+//!    the O(K·n) of replaying every event in every shard.
 //!
 //! For traces saved in the compressed chunked `STINT-TRACE v2` format (see
-//! `stint::ctrace`), [`batch_detect_chunked`] streams the file chunk by
-//! chunk — the whole `PortableTrace` is never resident — keeping one
-//! persistent detector per shard across chunks and consuming contiguous
-//! run-length runs **wholesale** (one coalesced range access per run, not
-//! one per decoded event).
+//! `stint::ctrace`), [`batch_detect_chunked`] streams the file in batches of
+//! whole chunks — the whole `PortableTrace` is never resident — keeping one
+//! persistent detector per shard across batches. Decoding is pipelined with
+//! detection: while the shards detect batch `i`, a pool worker decodes batch
+//! `i + 1` into the second of two run buffers, so resident decoded data is at
+//! most two batches. Shards read the decoded run-length runs directly: a
+//! contiguous run is consumed **wholesale** (one coalesced range access per
+//! run, not one per decoded event), a run whose bounding word range misses
+//! the shard is skipped, and any other run expands event by event, clipped
+//! to the shard.
 //!
 //! # Why address sharding preserves the race set
 //!
 //! The access history is keyed by address: whether two accesses race
 //! depends only on the per-word history of that word and the (frozen)
-//! SP-Order relation, never on accesses to other words. Routing each word's
+//! SP-Order relation, never on accesses to other words. Feeding each word's
 //! events to exactly one shard therefore preserves, per word, the exact
 //! event subsequence the sequential detector saw — in the same order, with
 //! the same strand boundaries. The only differences are (a) interval
@@ -110,9 +116,10 @@ static OBS_SHARD_BYTES: Gauge = Gauge::new("batchdet.shard.bytes");
 static OBS_INGEST_BYTES: Counter = Counter::new("batchdet.ingest.bytes");
 static OBS_INGEST_CHUNKS: Counter = Counter::new("batchdet.ingest.chunks");
 static OBS_INGEST_RUNS: Counter = Counter::new("batchdet.ingest.runs");
-/// In-flight decoded-but-undetected event-buffer bytes of the streaming
-/// path. Reconciled to zero after every chunk, so it reads 0 after each
-/// chunked run; the high-water mark is the peak buffered footprint.
+/// Decoded-run bytes resident in the streaming path's two pipeline buffers
+/// (the batch being detected plus the batch being decoded). Reconciled to
+/// zero when each chunked run ends; the high-water mark is the peak
+/// buffered footprint.
 static OBS_INGEST_BUF: Gauge = Gauge::new("batchdet.ingest.buf_bytes");
 
 /// Configuration for a batch detection run.
@@ -148,10 +155,10 @@ impl Default for BatchConfig {
 /// every tenant: a [`ResourceBudget`] applied to **each** shard detector,
 /// plus an optional wall-clock deadline.
 ///
-/// The deadline is checked at chunk boundaries on the streaming path (and
+/// The deadline is checked at batch boundaries on the streaming path (and
 /// before the fan-out on the in-memory path) — detectors are not
-/// interruptible mid-chunk, so a session overruns its deadline by at most
-/// one chunk's worth of work. A tripped deadline does **not** abort the
+/// interruptible mid-batch, so a session overruns its deadline by at most
+/// one pipeline step: one batch detected while the next is decoded. A tripped deadline does **not** abort the
 /// run: the shards that already replayed are flushed and merged, and the
 /// outcome carries `degraded = ResourceExhausted(WallClock)` — the report
 /// is sound up to the point detection stopped, exactly like a memory
@@ -192,14 +199,6 @@ impl SessionLimits {
     }
 }
 
-/// One shard's contiguous word range `[word_lo, word_hi)`.
-#[derive(Clone, Copy, Debug)]
-struct Shard {
-    index: usize,
-    word_lo: u64,
-    word_hi: u64,
-}
-
 /// What one shard's private detector saw.
 #[derive(Clone, Debug)]
 pub struct ShardOutcome {
@@ -208,7 +207,7 @@ pub struct ShardOutcome {
     pub word_lo: u64,
     pub word_hi: u64,
     /// Events handed to this shard's detector: clipped accesses, frees, and
-    /// dirty strand-end flush markers — the shard's *work count*. A
+    /// dirty strand-end flushes — the shard's *work count*. A
     /// run-length run consumed wholesale counts once, not per decoded
     /// event.
     pub events: u64,
@@ -294,11 +293,11 @@ pub struct BatchOutcome {
     pub merged: MergedReport,
     /// Sum of the per-shard detector statistics.
     pub stats: DetectorStats,
-    /// Total trace events (before routing).
+    /// Total trace events (before sharding).
     pub events: usize,
     pub strands: usize,
-    /// Wall-clock time of the batch phase (partition + fan-out + detection;
-    /// for chunked runs this includes decode, so `ingest.bytes / wall` is
+    /// Wall-clock time of the batch phase (fan-out + detection; for chunked
+    /// runs this includes decode, so `ingest.bytes / wall` is
     /// the end-to-end ingest throughput).
     pub wall: Duration,
     /// Streaming-ingest telemetry ([`batch_detect_chunked`] only).
@@ -339,9 +338,8 @@ pub fn batch_detect(pt: &PortableTrace, cfg: &BatchConfig) -> Result<BatchOutcom
     batch_detect_on(&pool_for(cfg), pt, cfg)
 }
 
-/// Partition the trace's events over `cfg.shards` address shards in one
-/// O(n) pass, fan the per-shard vectors out on `pool`, then merge
-/// deterministically.
+/// Plan `cfg.shards` address shards, let each scan the trace's events in
+/// place on `pool`, then merge deterministically.
 ///
 /// The trace is validated first — a syntactically well-formed file whose
 /// strand ids or ranges were corrupted is rejected as
@@ -360,7 +358,7 @@ pub fn batch_detect_on(
 /// detector gets the session's [`ResourceBudget`], and a deadline that has
 /// already passed when the fan-out would start skips replay entirely and
 /// reports the structured wall-clock degradation instead (the in-memory
-/// path has no chunk boundaries to preempt at; the streaming path in
+/// path has no batch boundaries to preempt at; the streaming path in
 /// [`batch_detect_chunked_limited_on`] is the precise one).
 pub fn batch_detect_limited_on(
     pool: &ThreadPool,
@@ -374,78 +372,40 @@ pub fn batch_detect_limited_on(
     // the attached witnesses are invariant in K/workers/steal order.
     let spans = cfg.witnesses.then(|| EventSpans::from_trace(&pt.trace));
     let (bounds, hist) = partition_index(&pt.trace);
-    let shards = plan_shards(bounds, &hist, cfg.shards);
+    let mut states = plan_shards(bounds, &hist, cfg.shards, limits.budget);
     let reach = &pt.reach;
     let t0 = Instant::now();
-
-    // The single partition pass: O(n) over the stream, plus one extra
-    // clipped copy per boundary straddler. Pre-size each shard's buffer to
-    // its quantile-planned share so absorbing millions of routed events
-    // doesn't pay log(n) doubling reallocations of a multi-hundred-MB Vec.
-    let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&s| ShardState::new(s, limits.budget))
-        .collect();
-    let mut last = StrandId(0);
-    if states.len() == 1 {
-        // One shard owns the whole span: every clip is the identity and
-        // every strand end is its own, so routing would be pure per-event
-        // overhead. One memcpy reproduces exactly the sequential stream.
-        states[0].buf.extend_from_slice(&pt.trace.events);
-        states[0].events = pt.trace.events.len() as u64;
-        last = pt.trace.events.last().map_or(last, |e| e.strand);
-    } else {
-        let share = pt.trace.events.len() / shards.len().max(1) + 1024;
-        for st in &mut states {
-            st.buf.reserve(share);
-        }
-        let mut router = Router::new(&shards);
-        for e in &pt.trace.events {
-            last = e.strand;
-            route_event(&mut router, *e, &mut states);
-        }
-    }
-
+    // A deadline already blown before any replay reports the
+    // partial-but-sound empty verdict below instead of wedging a worker on
+    // a session whose client has already given up.
     let timed_out = limits.exceeded();
-    if timed_out {
-        // Deadline already blown before any replay: drop the routed buffers
-        // (finish() expects drained shards) and report the partial-but-sound
-        // empty verdict below instead of wedging a worker on a session whose
-        // client has already given up.
-        for st in &mut states {
-            st.buf.clear();
-        }
-    } else {
+    if !timed_out {
+        let events = Stream::Events(&pt.trace.events);
         catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| fan_out(pool, reach, &mut states));
+            pool.install(|| fan_out(pool, reach, events, &mut states));
         }))
         .map_err(DetectorError::from_panic)?;
-        take_poison(&mut states)?;
     }
-    // The final per-shard flush runs sequentially here, after every worker
-    // is quiescent, so a panic in it may unwind — but still surfaces as the
-    // structured error, not an escaping panic.
-    let outs: Vec<ShardOutcome> = catch_unwind(AssertUnwindSafe(|| {
-        states
-            .into_iter()
-            .map(|st| st.finish(reach, last))
-            .collect()
-    }))
-    .map_err(DetectorError::from_panic)?;
-    let wall = t0.elapsed();
-    let mut out = finish_outcome(outs, reach, pt.trace.len(), wall, None, spans.as_ref())?;
+    let last = pt.trace.events.last().map_or(StrandId(0), |e| e.strand);
+    let events = pt.trace.len();
+    let mut out = finish_outcome(states, reach, last, events, t0, None, spans.as_ref())?;
     if timed_out && out.degraded.is_none() {
         out.degraded = Some(limits.timeout_error());
     }
     Ok(out)
 }
 
+/// Chunks decoded per step of the streaming pipeline (64K events at
+/// `stint::ctrace::DEFAULT_CHUNK_EVENTS`). Large enough that one fork-join
+/// round trip per step is noise next to the detection it carries.
+const BATCH_CHUNKS: usize = 16;
+
 /// Streaming batch detection over a compressed chunked `STINT-TRACE v2`
-/// stream: decode one chunk at a time, route its runs to per-shard buffers
-/// (consuming contiguous runs wholesale), and fan each chunk's buffers out
-/// over persistent per-shard detectors. Peak memory is one chunk plus the
-/// shard detectors — the full event stream is never resident.
-pub fn batch_detect_chunked<R: BufRead>(
+/// stream, pipelined in batches of whole chunks: while the shards detect
+/// one batch of decoded runs in place, a pool worker decodes the next.
+/// Peak memory is two batches of decoded runs plus the shard detectors —
+/// the full event stream is never resident.
+pub fn batch_detect_chunked<R: BufRead + Send>(
     r: R,
     cfg: &BatchConfig,
 ) -> Result<BatchOutcome, DetectorError> {
@@ -453,7 +413,7 @@ pub fn batch_detect_chunked<R: BufRead>(
 }
 
 /// [`batch_detect_chunked`] on an existing pool.
-pub fn batch_detect_chunked_on<R: BufRead>(
+pub fn batch_detect_chunked_on<R: BufRead + Send>(
     pool: &ThreadPool,
     r: R,
     cfg: &BatchConfig,
@@ -462,61 +422,125 @@ pub fn batch_detect_chunked_on<R: BufRead>(
 }
 
 /// [`batch_detect_chunked_on`] under per-session [`SessionLimits`]. The
-/// wall-clock deadline is checked at every chunk boundary: a tripped
+/// wall-clock deadline is checked at every batch boundary: a tripped
 /// deadline stops ingesting, flushes the shards that already replayed, and
 /// returns the partial-but-sound outcome with the structured
 /// `ResourceExhausted(WallClock)` degradation marker — never an abort, and
 /// never an unbounded stall on a worker.
-pub fn batch_detect_chunked_limited_on<R: BufRead>(
+pub fn batch_detect_chunked_limited_on<R: BufRead + Send>(
     pool: &ThreadPool,
     r: R,
     cfg: &BatchConfig,
     limits: &SessionLimits,
 ) -> Result<BatchOutcome, DetectorError> {
     let mut reader = CompressedTraceReader::open(r).map_err(|e| corrupt(e.to_string()))?;
-    let n_strands = reader.reach.strand_count();
     let bounds = (reader.word_hi > reader.word_lo).then_some((reader.word_lo, reader.word_hi));
     let hist = std::mem::take(&mut reader.hist);
-    let shards = plan_shards(bounds, &hist, cfg.shards);
+    let mut states = plan_shards(bounds, &hist, cfg.shards, limits.budget);
     let reach = reader.reach.clone();
     let total_events = reader.total_events;
-
-    let mut states: Vec<ShardState> = shards
-        .iter()
-        .map(|&s| ShardState::new(s, limits.budget))
-        .collect();
-    let mut router = Router::new(&shards);
+    let mut ingest = Ingest {
+        n_strands: reach.strand_count(),
+        reader,
+        stats: IngestStats::default(),
+        spans: cfg.witnesses.then(EventSpans::default),
+        ev_id: 0,
+    };
+    // The two pipeline buffers: the batch being detected, the one decoded.
+    let (mut cur, mut next): (Vec<EventRun>, _) = (Vec::new(), Vec::new());
     let mut last = StrandId(0);
-    let mut ingest = IngestStats::default();
-    let mut runs: Vec<EventRun> = Vec::new();
-    // Incremental span table: decoded event ids equal original trace
-    // indices (runs expand in order), so a run by strand `s` covers ids
-    // `[ev_id, ev_id + count)`.
-    let mut spans = cfg.witnesses.then(EventSpans::default);
-    let mut ev_id = 0u64;
     let mut timed_out = false;
+    let mut buffered = 0u64;
     let t0 = Instant::now();
     let streamed = catch_unwind(AssertUnwindSafe(|| -> Result<(), DetectorError> {
         loop {
             if limits.exceeded() {
-                // Chunk-boundary preemption: stop ingesting, keep what the
-                // shards already saw. The unread remainder of the stream is
+                // Batch-boundary preemption: stop ingesting and keep what
+                // the shards already detected; a decoded batch not yet
+                // detected is dropped. The unread remainder of the stream is
                 // the client's loss, not a corruption — skip the trailer
-                // check below.
+                // check.
                 timed_out = true;
-                break;
+                return Ok(());
             }
-            let more = reader
-                .next_chunk(&mut runs)
+            // One pipeline step: decode the next batch while the shards
+            // detect the current one (the first step only decodes). A
+            // corrupt chunk in the next batch surfaces after the current
+            // batch is detected, and a shard panic before it.
+            let decoded = match cur.last() {
+                None => ingest.next_batch(&mut next),
+                Some(tail) => {
+                    last = tail.strand;
+                    let runs = Stream::Runs(&cur);
+                    let (decoded, ()) = pool.install(|| {
+                        pool.join(
+                            || ingest.next_batch(&mut next),
+                            || fan_out(pool, &reach, runs, &mut states),
+                        )
+                    });
+                    decoded
+                }
+            };
+            let resident = (cur.len() + next.len()) * std::mem::size_of::<EventRun>();
+            OBS_INGEST_BUF.reconcile(&mut buffered, resident as u64);
+            decoded?;
+            if next.is_empty() {
+                return ingest.reader.finished().map_err(|e| corrupt(e.to_string()));
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+    }))
+    .map_err(DetectorError::from_panic);
+    OBS_INGEST_BUF.reconcile(&mut buffered, 0);
+    streamed??;
+    let mut out = finish_outcome(
+        states,
+        &reach,
+        last,
+        total_events as usize,
+        t0,
+        Some(ingest.stats),
+        ingest.spans.as_ref(),
+    )?;
+    if timed_out && out.degraded.is_none() {
+        out.degraded = Some(limits.timeout_error());
+    }
+    Ok(out)
+}
+
+/// The decode half of the streaming pipeline: the reader plus everything
+/// that advances per decoded run.
+struct Ingest<R> {
+    reader: CompressedTraceReader<R>,
+    n_strands: usize,
+    stats: IngestStats,
+    /// Incremental span table for merge-time witnesses.
+    spans: Option<EventSpans>,
+    /// Id of the next decoded event; equal to its original trace index,
+    /// since runs expand in order.
+    ev_id: u64,
+}
+
+impl<R: BufRead> Ingest<R> {
+    /// Decode up to [`BATCH_CHUNKS`] chunks into `batch`, validating every
+    /// run. An empty batch means the stream is exhausted.
+    fn next_batch(&mut self, batch: &mut Vec<EventRun>) -> Result<(), DetectorError> {
+        batch.clear();
+        for _ in 0..BATCH_CHUNKS {
+            let from = batch.len();
+            let more = self
+                .reader
+                .append_chunk(batch)
                 .map_err(|e| corrupt(e.to_string()))?;
             if !more {
                 break;
             }
-            for run in &runs {
-                if run.strand.index() >= n_strands {
+            // A run by strand `s` covers event ids `[ev_id, ev_id + count)`.
+            for run in &batch[from..] {
+                if run.strand.index() >= self.n_strands {
                     return Err(corrupt(format!(
-                        "run strand {} out of range (trace has {n_strands} strands)",
-                        run.strand.0
+                        "run strand {} out of range (trace has {} strands)",
+                        run.strand.0, self.n_strands
                     )));
                 }
                 if !run_addr_ok(run) {
@@ -525,72 +549,46 @@ pub fn batch_detect_chunked_limited_on<R: BufRead>(
                         run.addr, run.stride
                     )));
                 }
-                last = run.strand;
-                ingest.events += run.count;
-                if let Some(sp) = spans.as_mut() {
-                    if run.count > 0 {
-                        sp.note(run.strand, ev_id);
-                        sp.note(run.strand, ev_id + run.count - 1);
-                    }
+                self.stats.events += run.count;
+                self.stats.wholesale_runs += u64::from(run.as_wholesale_range().is_some());
+                if let Some(sp) = self.spans.as_mut() {
+                    sp.note(run.strand, self.ev_id);
+                    sp.note(run.strand, self.ev_id + run.count - 1);
                 }
-                ev_id += run.count;
-                route_run(&mut router, run, &mut states, &mut ingest);
+                self.ev_id += run.count;
             }
-            let chunk_bytes = reader.bytes_read() - ingest.bytes;
-            ingest.bytes = reader.bytes_read();
-            ingest.chunks += 1;
-            ingest.runs += runs.len() as u64;
-            OBS_INGEST_BYTES.add(chunk_bytes);
+            let runs = (batch.len() - from) as u64;
+            OBS_INGEST_BYTES.add(self.reader.bytes_read() - self.stats.bytes);
             OBS_INGEST_CHUNKS.incr();
-            OBS_INGEST_RUNS.add(runs.len() as u64);
-            let buffered: u64 = states
-                .iter()
-                .map(|st| (st.buf.len() * std::mem::size_of::<TraceEvent>()) as u64)
-                .sum();
-            let mut owned = 0u64;
-            OBS_INGEST_BUF.reconcile(&mut owned, buffered);
-            pool.install(|| fan_out(pool, &reach, &mut states));
-            OBS_INGEST_BUF.reconcile(&mut owned, 0);
-            take_poison(&mut states)?;
+            OBS_INGEST_RUNS.add(runs);
+            self.stats.bytes = self.reader.bytes_read();
+            self.stats.chunks += 1;
+            self.stats.runs += runs;
         }
-        if timed_out {
-            Ok(())
-        } else {
-            reader.finished().map_err(|e| corrupt(e.to_string()))
-        }
-    }))
-    .map_err(DetectorError::from_panic)?;
-    streamed?;
+        Ok(())
+    }
+}
+
+/// Flush every shard (`last` is the trace's final strand), then merge. The
+/// final flush runs sequentially after every worker is quiescent; a panic
+/// in it surfaces as the structured error, not an escaping panic.
+fn finish_outcome(
+    states: Vec<ShardState>,
+    reach: &FrozenReach,
+    last: StrandId,
+    events: usize,
+    t0: Instant,
+    ingest: Option<IngestStats>,
+    spans: Option<&EventSpans>,
+) -> Result<BatchOutcome, DetectorError> {
     let outs: Vec<ShardOutcome> = catch_unwind(AssertUnwindSafe(|| {
         states
             .into_iter()
-            .map(|st| st.finish(&reach, last))
+            .map(|st| st.finish(reach, last))
             .collect()
     }))
     .map_err(DetectorError::from_panic)?;
     let wall = t0.elapsed();
-    let mut out = finish_outcome(
-        outs,
-        &reach,
-        total_events as usize,
-        wall,
-        Some(ingest),
-        spans.as_ref(),
-    )?;
-    if timed_out && out.degraded.is_none() {
-        out.degraded = Some(limits.timeout_error());
-    }
-    Ok(out)
-}
-
-fn finish_outcome(
-    outs: Vec<ShardOutcome>,
-    reach: &FrozenReach,
-    events: usize,
-    wall: Duration,
-    ingest: Option<IngestStats>,
-    spans: Option<&EventSpans>,
-) -> Result<BatchOutcome, DetectorError> {
     let merged = merge_shards(&outs, reach, spans);
     let mut stats = DetectorStats::default();
     for o in &outs {
@@ -619,25 +617,23 @@ fn run_addr_ok(run: &EventRun) -> bool {
     min >= 0 && max + run.bytes as i128 + 3 <= usize::MAX as i128
 }
 
-/// Choose `k` contiguous shard ranges whose boundaries sit at event-weight
-/// quantiles of the partition index (`hist` buckets over `[lo, hi)`), so a
-/// skewed trace still spreads its *events* — not just its address width —
-/// evenly. Heavily concentrated traces may still produce empty shards (a
-/// single bucket cannot be split); contiguity is what the correctness
-/// argument needs, balance is best-effort.
-fn plan_shards(bounds: Option<(u64, u64)>, hist: &[u64], k: usize) -> Vec<Shard> {
+/// Plan `k` contiguous shards, each with a fresh detector under `budget`,
+/// whose boundaries sit at event-weight quantiles of the partition index
+/// (`hist` buckets over `[lo, hi)`), so a skewed trace still spreads its
+/// *events* — not just its address width — evenly. Heavily concentrated
+/// traces may still produce empty shards (a single bucket cannot be
+/// split); contiguity is what the correctness argument needs, balance is
+/// best-effort.
+fn plan_shards(
+    bounds: Option<(u64, u64)>,
+    hist: &[u64],
+    k: usize,
+    budget: ResourceBudget,
+) -> Vec<ShardState> {
     let k = k.max(1);
-    let Some((lo, hi)) = bounds else {
-        // No memory accesses at all: k empty shards, so the shard count
-        // (and the per-shard telemetry shape) is always what was asked for.
-        return (0..k)
-            .map(|i| Shard {
-                index: i,
-                word_lo: 0,
-                word_hi: 0,
-            })
-            .collect();
-    };
+    // No memory accesses at all: k empty shards, so the shard count (and
+    // the per-shard telemetry shape) is always what was asked for.
+    let (lo, hi) = bounds.unwrap_or((0, 0));
     let total: u64 = hist.iter().sum();
     let span = hi - lo;
     let mut edges = Vec::with_capacity(k + 1);
@@ -664,158 +660,148 @@ fn plan_shards(bounds: Option<(u64, u64)>, hist: &[u64], k: usize) -> Vec<Shard>
     }
     edges.push(hi);
     (0..k)
-        .map(|i| Shard {
+        .map(|i| ShardState {
             index: i,
             word_lo: edges[i],
-            word_hi: edges[i + 1].max(edges[i]),
+            word_hi: edges[i + 1],
+            start: if i == 0 { 0 } else { edges[i] },
+            end: if i == k - 1 { u64::MAX } else { edges[i + 1] },
+            det: StintDetector::new(RaceReport::unbounded(true)).with_budget(budget),
+            dirty: false,
+            events: 0,
         })
         .collect()
 }
 
-/// The partition pass's routing state: shard cut-points plus the per-shard
-/// dirty flags that gate strand-end flush markers.
-struct Router {
-    /// `ends[i]` is shard `i`'s routing end; shard `i` covers
-    /// `[ends[i-1], ends[i])` (shard 0 from 0). The last end is lifted to
-    /// `u64::MAX` so any event routes deterministically even if it falls
-    /// outside the planned bounds.
-    ends: Vec<u64>,
-    /// Shard holds unflushed accesses of the current strand.
-    dirty: Vec<bool>,
-    /// Shards whose `dirty` flag may be set (may hold stale entries cleared
-    /// by a free; drained and deduplicated at each strand end). Keeps
-    /// strand-end routing O(shards the strand touched), not O(K).
-    dirty_list: Vec<u32>,
+/// What a fan-out scans: a recorded trace's events, or one batch of decoded
+/// run-length runs. Every shard reads the same slice in place.
+#[derive(Clone, Copy)]
+enum Stream<'a> {
+    Events(&'a [TraceEvent]),
+    Runs(&'a [EventRun]),
 }
 
-impl Router {
-    fn new(shards: &[Shard]) -> Router {
-        let k = shards.len();
-        let mut ends: Vec<u64> = shards.iter().map(|s| s.word_hi).collect();
-        ends[k - 1] = u64::MAX;
-        Router {
-            ends,
-            dirty: vec![false; k],
-            dirty_list: Vec::new(),
-        }
-    }
-
-    /// Route one access/free word range, invoking `push(shard, lo, hi)`
-    /// once per overlapped shard with the clipped subrange, and update the
-    /// dirty flags (an access dirties the shard; a free cleans it — the
-    /// detector's `free` flushes pending accesses itself).
-    #[inline]
-    fn route(&mut self, is_free: bool, lo: u64, hi: u64, mut push: impl FnMut(usize, u64, u64)) {
-        if lo >= hi {
-            return;
-        }
-        let mut i = self.ends.partition_point(|&e| e <= lo);
-        let mut cur = lo;
-        while cur < hi {
-            while self.ends[i] <= cur {
-                i += 1;
-            }
-            let clip = hi.min(self.ends[i]);
-            if is_free {
-                self.dirty[i] = false;
-            } else if !self.dirty[i] {
-                self.dirty[i] = true;
-                self.dirty_list.push(i as u32);
-            }
-            push(i, cur, clip);
-            cur = clip;
-        }
-    }
-
-    /// Drain the dirty set, invoking `push(shard)` once per shard that
-    /// still holds unflushed accesses.
-    #[inline]
-    fn on_strand_end(&mut self, mut push: impl FnMut(usize)) {
-        for idx in self.dirty_list.drain(..) {
-            let i = idx as usize;
-            if self.dirty[i] {
-                self.dirty[i] = false;
-                push(i);
-            }
-        }
-    }
-}
-
-/// A shard's accumulated work: its private detector plus the buffer of
-/// routed events not yet replayed (drained per chunk in streaming mode,
-/// once in in-memory mode).
+/// A shard's detection state: its planned word range `[word_lo, word_hi)`,
+/// its routing cut-points, its private detector, and the dirty flag that
+/// gates strand-end flushes.
 struct ShardState {
-    shard: Shard,
+    index: usize,
+    word_lo: u64,
+    word_hi: u64,
+    /// Routing range `[start, end)`: the planned range widened so the
+    /// shards tile every word. Shard 0 starts at word 0 and the last shard
+    /// ends at `u64::MAX`, so an event outside the planned bounds (the
+    /// online engine plans from its first chunk) still lands
+    /// deterministically.
+    start: u64,
+    end: u64,
     det: StintDetector,
-    buf: Vec<TraceEvent>,
+    /// The shard holds unflushed accesses of the current strand.
+    dirty: bool,
     events: u64,
-    /// A panic payload captured while draining on the pool. Unwinding
-    /// through `ThreadPool::join` while the sibling job is stolen and in
-    /// flight would tear down the stack frame the thief's `StackJob` lives
-    /// on, so the fan-out leaf catches instead and the caller rethrows the
-    /// first payload as a structured error once every worker is quiescent.
-    poison: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl ShardState {
-    fn new(shard: Shard, budget: ResourceBudget) -> ShardState {
-        ShardState {
-            shard,
-            det: StintDetector::new(RaceReport::unbounded(true)).with_budget(budget),
-            buf: Vec::new(),
-            events: 0,
-            poison: None,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, op: TraceOp, strand: StrandId, lo: u64, hi: u64) {
-        // Synthesize a word-aligned byte range that `word_range` maps back
-        // to exactly the clipped `[lo, hi)`.
-        self.buf.push(TraceEvent {
-            op,
-            strand,
-            addr: (lo * 4) as usize,
-            bytes: ((hi - lo) * 4) as usize,
-        });
-        self.events += 1;
-    }
-
-    #[inline]
-    fn push_strand_end(&mut self, strand: StrandId) {
-        self.buf.push(TraceEvent {
-            op: TraceOp::StrandEnd,
-            strand,
-            addr: 0,
-            bytes: 0,
-        });
-        self.events += 1;
-    }
-
-    /// Replay the buffered events through the shard's detector (runs on the
-    /// pool). Generic over the reachability substrate: the batch paths
+    /// Replay this shard's share of `stream` through its detector (runs on
+    /// the pool). Generic over the reachability substrate: the batch paths
     /// replay against a [`FrozenReach`] snapshot, the parallel-online path
     /// against the live relabel-free `DePaReach` (immutable timestamps, so
     /// sharing `&R` across workers is race-free by construction).
-    fn drain<R: Reachability>(&mut self, reach: &R) {
+    fn scan<R: Reachability>(&mut self, stream: Stream<'_>, reach: &R) {
+        if self.start >= self.end {
+            // An empty shard receives nothing.
+            return;
+        }
         let _span = stint_obs::span("batchdet.shard");
         OBS_SHARD_RUNS.incr();
-        for e in &self.buf {
-            match e.op {
-                TraceOp::Load => self.det.load(e.strand, e.addr, e.bytes, reach),
-                TraceOp::Store => self.det.store(e.strand, e.addr, e.bytes, reach),
-                TraceOp::LoadRange => self.det.load_range(e.strand, e.addr, e.bytes, reach),
-                TraceOp::StoreRange => self.det.store_range(e.strand, e.addr, e.bytes, reach),
-                TraceOp::Free => self.det.free(e.strand, e.addr, e.bytes, reach),
-                TraceOp::StrandEnd => self.det.strand_end(e.strand, reach),
+        let before = self.events;
+        match stream {
+            Stream::Events(events) => {
+                for e in events {
+                    if e.op == TraceOp::StrandEnd {
+                        self.strand_end(e.strand, reach);
+                    } else {
+                        let (lo, hi) = word_range(e.addr, e.bytes);
+                        self.access(e.op, e.strand, lo, hi, reach);
+                    }
+                }
+            }
+            Stream::Runs(runs) => {
+                for run in runs {
+                    self.scan_run(run, reach);
+                }
             }
         }
-        OBS_SHARD_EVENTS.add(self.buf.len() as u64);
-        self.buf.clear();
+        OBS_SHARD_EVENTS.add(self.events - before);
+    }
+
+    /// One decoded run. A run whose bounding word range misses the shard is
+    /// skipped. A contiguous word-aligned run is consumed wholesale: one
+    /// clipped range access covers exactly the words its expanded events
+    /// would set — detection directly on the compressed form. Any other run
+    /// expands event by event, clipped to the shard.
+    #[inline]
+    fn scan_run<R: Reachability>(&mut self, run: &EventRun, reach: &R) {
+        if run.op == TraceOp::StrandEnd {
+            self.strand_end(run.strand, reach);
+            return;
+        }
+        let last = run.last_addr();
+        let lo = word_range(run.addr.min(last), 0).0;
+        let hi = word_range(run.addr.max(last), run.bytes).1;
+        if hi <= self.start || lo >= self.end {
+            return;
+        }
+        if let Some((op, addr, total)) = run.as_wholesale_range() {
+            let (lo, hi) = word_range(addr, total);
+            self.access(op, run.strand, lo, hi, reach);
+            return;
+        }
+        let mut addr = run.addr;
+        for j in 0..run.count {
+            let (lo, hi) = word_range(addr, run.bytes);
+            self.access(run.op, run.strand, lo, hi, reach);
+            if j + 1 < run.count {
+                addr = (addr as i64).wrapping_add(run.stride) as usize;
+            }
+        }
+    }
+
+    /// Feed one access or free over words `[lo, hi)`, clipped to the shard,
+    /// to the detector. An access dirties the shard; a free cleans it (the
+    /// detector's `free` flushes pending accesses itself).
+    #[inline]
+    fn access<R: Reachability>(&mut self, op: TraceOp, s: StrandId, lo: u64, hi: u64, reach: &R) {
+        let (lo, hi) = (lo.max(self.start), hi.min(self.end));
+        if lo >= hi {
+            return;
+        }
+        // A word-aligned byte range that `word_range` maps back to exactly
+        // the clipped `[lo, hi)`.
+        let (addr, bytes) = ((lo * 4) as usize, ((hi - lo) * 4) as usize);
+        self.events += 1;
+        self.dirty = op != TraceOp::Free;
+        match op {
+            TraceOp::Load => self.det.load(s, addr, bytes, reach),
+            TraceOp::Store => self.det.store(s, addr, bytes, reach),
+            TraceOp::LoadRange => self.det.load_range(s, addr, bytes, reach),
+            TraceOp::StoreRange => self.det.store_range(s, addr, bytes, reach),
+            TraceOp::Free => self.det.free(s, addr, bytes, reach),
+            TraceOp::StrandEnd => unreachable!("strand ends are not accesses"),
+        }
+    }
+
+    /// A strand ended: flush only if it left accesses in this shard.
+    #[inline]
+    fn strand_end<R: Reachability>(&mut self, s: StrandId, reach: &R) {
+        if self.dirty {
+            self.dirty = false;
+            self.events += 1;
+            self.det.strand_end(s, reach);
+        }
     }
 
     fn finish<R: Reachability>(mut self, reach: &R, last: StrandId) -> ShardOutcome {
-        debug_assert!(self.buf.is_empty(), "finish before draining the buffer");
         self.det.finish(last, reach);
         let mut owned = 0u64;
         OBS_SHARD_BYTES.reconcile(
@@ -825,9 +811,9 @@ impl ShardState {
         OBS_SHARD_RACES.add(self.det.report.total);
         let failure = Detector::<R>::failure(&self.det);
         let out = ShardOutcome {
-            index: self.shard.index,
-            word_lo: self.shard.word_lo,
-            word_hi: self.shard.word_hi,
+            index: self.index,
+            word_lo: self.word_lo,
+            word_hi: self.word_hi,
             events: self.events,
             report: self.det.report,
             stats: self.det.stats,
@@ -838,90 +824,27 @@ impl ShardState {
     }
 }
 
-/// Route one discrete trace event (the in-memory partition pass).
-#[inline]
-fn route_event(router: &mut Router, e: TraceEvent, states: &mut [ShardState]) {
-    if e.op == TraceOp::StrandEnd {
-        router.on_strand_end(|i| states[i].push_strand_end(e.strand));
-        return;
-    }
-    let (lo, hi) = word_range(e.addr, e.bytes);
-    router.route(e.op == TraceOp::Free, lo, hi, |i, clo, chi| {
-        states[i].push(e.op, e.strand, clo, chi)
-    });
-}
-
-/// Route one decoded run (the streaming pass). A contiguous word-aligned
-/// run is consumed wholesale: its whole footprint goes in as ONE coalesced
-/// range access per overlapped shard, which covers exactly the same shadow
-/// words as the expanded events — detection directly on the compressed
-/// form. Other runs expand event by event without materializing a vector.
-#[inline]
-fn route_run(
-    router: &mut Router,
-    run: &EventRun,
-    states: &mut [ShardState],
-    ingest: &mut IngestStats,
-) {
-    match run.op {
-        TraceOp::StrandEnd => {
-            router.on_strand_end(|i| states[i].push_strand_end(run.strand));
-        }
-        _ => {
-            if let Some((op, addr, total)) = run.as_wholesale_range() {
-                ingest.wholesale_runs += 1;
-                let (lo, hi) = word_range(addr, total);
-                router.route(false, lo, hi, |i, clo, chi| {
-                    states[i].push(op, run.strand, clo, chi)
-                });
-                return;
-            }
-            let is_free = run.op == TraceOp::Free;
-            let mut addr = run.addr;
-            for j in 0..run.count {
-                let (lo, hi) = word_range(addr, run.bytes);
-                router.route(is_free, lo, hi, |i, clo, chi| {
-                    states[i].push(run.op, run.strand, clo, chi)
-                });
-                if j + 1 < run.count {
-                    addr = (addr as i64).wrapping_add(run.stride) as usize;
-                }
-            }
-        }
-    }
-}
-
 /// Recursive binary fan-out of the shard states over the pool's `join`:
-/// each shard drains its buffered events through its private detector. A
-/// leaf panic is captured into the shard's `poison` slot — never unwound
-/// across a `join` frame — and rethrown by [`take_poison`] afterwards.
-fn fan_out<R: Reachability + Sync>(pool: &ThreadPool, reach: &R, states: &mut [ShardState]) {
+/// each shard scans `stream` through its private detector. A shard panic
+/// unwinds through `join` (which finishes the sibling half first) to the
+/// caller of `install`, who turns it into the structured error.
+fn fan_out<R: Reachability + Sync>(
+    pool: &ThreadPool,
+    reach: &R,
+    stream: Stream<'_>,
+    states: &mut [ShardState],
+) {
     match states.len() {
         0 => {}
-        1 => {
-            let st = &mut states[0];
-            if st.poison.is_none() {
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| st.drain(reach))) {
-                    st.poison = Some(p);
-                }
-            }
-        }
+        1 => states[0].scan(stream, reach),
         n => {
             let (a, b) = states.split_at_mut(n / 2);
-            pool.join(|| fan_out(pool, reach, a), || fan_out(pool, reach, b));
+            pool.join(
+                || fan_out(pool, reach, stream, a),
+                || fan_out(pool, reach, stream, b),
+            );
         }
     }
-}
-
-/// Rethrow the first captured shard panic as the structured error the typed
-/// panic protocol encodes (an injected flush panic becomes `Poisoned`).
-fn take_poison(states: &mut [ShardState]) -> Result<(), DetectorError> {
-    for st in states.iter_mut() {
-        if let Some(p) = st.poison.take() {
-            return Err(DetectorError::from_panic(p));
-        }
-    }
-    Ok(())
 }
 
 fn kind_code(k: RaceKind) -> u8 {
@@ -1056,6 +979,44 @@ mod tests {
         buf
     }
 
+    /// Serializes the tests that stream compressed traces: one of them
+    /// reads the process-global `batchdet.ingest.buf_bytes` gauge.
+    fn streaming_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A `BufRead` over a byte slice that publishes how far it has read.
+    struct Tracked<'a>(&'a [u8], &'a std::cell::Cell<usize>);
+
+    impl std::io::Read for Tracked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = std::io::Read::read(&mut self.fill_buf()?, out)?;
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Tracked<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            Ok(&self.0[self.1.get()..])
+        }
+        fn consume(&mut self, n: usize) {
+            self.1.set(self.1.get() + n);
+        }
+    }
+
+    /// `(end offset, run count)` of every chunk of a v2 stream.
+    fn chunk_layout(buf: &[u8]) -> Vec<(usize, usize)> {
+        let pos = std::cell::Cell::new(0);
+        let mut reader = CompressedTraceReader::open(Tracked(buf, &pos)).unwrap();
+        let (mut layout, mut runs) = (Vec::new(), Vec::new());
+        while reader.next_chunk(&mut runs).unwrap() {
+            layout.push((pos.get(), runs.len()));
+        }
+        layout
+    }
+
     #[test]
     fn batch_matches_sequential_racy_words_for_any_shard_count() {
         let pt = PortableTrace::record(&mut WideRacy);
@@ -1081,6 +1042,7 @@ mod tests {
 
     #[test]
     fn chunked_streaming_matches_in_memory_for_any_chunk_size() {
+        let _g = streaming_lock();
         let pt = PortableTrace::record(&mut WideRacy);
         let baseline = batch_detect(&pt, &cfg(4, 2, 0)).unwrap();
         for chunk in [1usize, 3, 16, 100_000] {
@@ -1121,6 +1083,7 @@ mod tests {
 
     #[test]
     fn wholesale_run_consumption_matches_expanded_replay() {
+        let _g = streaming_lock();
         let pt = PortableTrace::record(&mut StridedRacy);
         let expected = batch_detect(&pt, &cfg(3, 2, 0)).unwrap();
         let buf = compress(&pt, 64);
@@ -1207,6 +1170,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_handled() {
+        let _g = streaming_lock();
         let pt = PortableTrace {
             trace: Trace::default(),
             reach: FrozenReach::from_ranks(vec![0], vec![0]),
@@ -1257,6 +1221,7 @@ mod tests {
 
     #[test]
     fn chunked_rejects_corrupted_streams_as_corrupt() {
+        let _g = streaming_lock();
         let pt = PortableTrace::record(&mut WideRacy);
         let buf = compress(&pt, 8);
         for frac in [1usize, 4, 7] {
@@ -1277,6 +1242,7 @@ mod tests {
 
     #[test]
     fn witnessed_merge_is_k_invariant_and_verifiable() {
+        let _g = streaming_lock();
         let pt = PortableTrace::record(&mut WideRacy);
         let wcfg = |k| BatchConfig {
             shards: k,
@@ -1308,6 +1274,68 @@ mod tests {
         // to_report keeps the witnesses on the rebuilt records.
         let rep = baseline.to_report();
         assert!(rep.races().iter().all(|r| r.witness.is_some()));
+    }
+
+    /// A writer strand whose sweep outlasts many pipeline batches at four
+    /// events per chunk (alternating access sizes keep every run one event
+    /// long), racing with the parent's reads of every third slot it writes.
+    struct LongRacy;
+    impl CilkProgram for LongRacy {
+        fn run<C: Cilk>(&mut self, ctx: &mut C) {
+            ctx.spawn(|c| {
+                for i in 0..600usize {
+                    c.store(0x1000 + (i % 300) * 12, 4 + 4 * (i % 2));
+                }
+            });
+            for i in 0..100usize {
+                ctx.load(0x1000 + i * 36, 4 + 4 * (i % 2));
+            }
+            ctx.sync();
+        }
+    }
+
+    #[test]
+    fn pipeline_spanning_many_batches_matches_in_memory() {
+        let _g = streaming_lock();
+        let pt = PortableTrace::record(&mut LongRacy);
+        let buf = compress(&pt, 4);
+        let layout = chunk_layout(&buf);
+        assert!(layout.len() > 3 * BATCH_CHUNKS, "{} chunks", layout.len());
+
+        // The racy writer's runs straddle every batch boundary; the stream
+        // still renders exactly what the in-memory batch does, at every K.
+        for k in 1..=4 {
+            let want = batch_detect(&pt, &cfg(k, 2, 0)).unwrap();
+            assert!(!want.merged.is_race_free());
+            let got = batch_detect_chunked(&buf[..], &cfg(k, 2, 0)).unwrap();
+            assert_eq!(got.merged.render(), want.merged.render(), "K={k}");
+            assert_eq!(got.ingest.unwrap().chunks, layout.len() as u64);
+        }
+
+        // A bit flip in a chunk of the third batch is decoded while the
+        // shards detect the second: a structured error, never a panic.
+        let mut flipped = buf.clone();
+        flipped[layout[2 * BATCH_CHUNKS + 1].0 - 1] ^= 0x10;
+        let err = catch_unwind(|| batch_detect_chunked(&flipped[..], &cfg(2, 2, 0)))
+            .expect("a corrupt third batch must not panic")
+            .unwrap_err();
+        assert!(matches!(err, DetectorError::CorruptTrace { .. }), "{err}");
+        assert_eq!(err.exit_code(), 4);
+
+        // The buffered-runs gauge reconciles to zero, and its watermark
+        // covers the first two batches, resident together while the first
+        // is detected and the second decoded.
+        stint_obs::enable(stint_obs::ObsConfig::COUNTERS);
+        let out = batch_detect_chunked(&buf[..], &cfg(2, 2, 0));
+        stint_obs::disable();
+        assert!(!out.unwrap().merged.is_race_free());
+        assert_eq!(OBS_INGEST_BUF.get(), 0);
+        let two_batches: usize = layout[..2 * BATCH_CHUNKS].iter().map(|c| c.1).sum();
+        assert!(
+            OBS_INGEST_BUF.high_water() >= (two_batches * std::mem::size_of::<EventRun>()) as u64,
+            "watermark {} below two batches of {two_batches} runs",
+            OBS_INGEST_BUF.high_water()
+        );
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //! The exit-code contract matches the sequential and batch tiers exactly:
 //! a per-shard budget trip makes that shard's detector go *dead* (sound but
 //! partial) and surfaces as `degraded = ResourceExhausted` (exit 3); a
-//! worker panic during a fan-out is caught at the leaf, rethrown once the
-//! pool is quiescent, and poisons the whole run as
+//! worker panic during a fan-out reaches the engine once the pool is
+//! quiescent (`join` finishes the sibling half before unwinding), and
+//! poisons the whole run as
 //! [`DetectorError::Poisoned`] (exit 4) — no partially-merged report is
 //! published for a poisoned run.
 
@@ -52,10 +53,7 @@ use stint_cilkrt::ThreadPool;
 use stint_obs::Counter;
 use stint_sporder::StrandId;
 
-use crate::{
-    fan_out, merge_shards, plan_shards, route_event, take_poison, MergedReport, Router,
-    ShardOutcome, ShardState,
-};
+use crate::{fan_out, merge_shards, plan_shards, MergedReport, ShardOutcome, ShardState, Stream};
 
 /// Bulk-synchronous merge cycles completed by the parallel-online engine
 /// (one per chunk fan-out plus one for the final flush).
@@ -102,7 +100,7 @@ pub struct OnlineOutcome {
     pub merged: MergedReport,
     /// Sum of the per-shard detector statistics.
     pub stats: DetectorStats,
-    /// Instrumentation events the executor delivered (before routing).
+    /// Instrumentation events the executor delivered (before sharding).
     pub events: usize,
     pub strands: usize,
     /// Bulk-synchronous merge cycles (chunk fan-outs, final flush included).
@@ -116,13 +114,6 @@ pub struct OnlineOutcome {
     /// First per-shard structured failure, if any: the merged report is
     /// sound but only complete up to the failure point.
     pub degraded: Option<DetectorError>,
-}
-
-/// Shard plan materialized lazily at the first flush, once the first
-/// chunk's address histogram is known.
-struct Plan {
-    router: Router,
-    states: Vec<ShardState>,
 }
 
 /// A [`Detector`] over the live [`DePaReach`] that buffers the
@@ -141,7 +132,9 @@ pub struct OnlineEngine {
     spans: Option<EventSpans>,
     ev_id: u64,
     events: usize,
-    plan: Option<Plan>,
+    /// Shard states, planned lazily at the first flush once the first
+    /// chunk's address histogram is known.
+    states: Option<Vec<ShardState>>,
     chunks: u64,
     /// Poison captured from a fan-out: the engine is dead from here on
     /// (hooks no-op, finish publishes nothing) and [`online_detect`]
@@ -165,7 +158,7 @@ impl OnlineEngine {
             spans: cfg.witnesses.then(EventSpans::default),
             ev_id: 0,
             events: 0,
-            plan: None,
+            states: None,
             chunks: 0,
             poisoned: None,
             outcome: None,
@@ -204,45 +197,32 @@ impl OnlineEngine {
         }
     }
 
-    /// Route the buffered chunk and fan it out over the pool against the
-    /// live substrate. The first flush plans the shards from the chunk's
-    /// own partition index; later events outside the planned bounds still
-    /// route deterministically (the router's last cut-point is `u64::MAX`
-    /// and shard 0 extends down to word 0).
+    /// Fan the buffered chunk out over the pool against the live substrate;
+    /// every shard scans the buffer in place. The first flush plans the
+    /// shards from the chunk's own partition index; later events outside
+    /// the planned bounds still land deterministically (the last shard ends
+    /// at `u64::MAX` and shard 0 starts at word 0).
     fn flush(&mut self, reach: &DePaReach) {
         if self.buf.is_empty() || self.poisoned.is_some() {
             return;
         }
-        if self.plan.is_none() {
+        if self.states.is_none() {
             let mut probe = Trace::default();
             std::mem::swap(&mut probe.events, &mut self.buf);
             let (bounds, hist) = partition_index(&probe);
             std::mem::swap(&mut probe.events, &mut self.buf);
-            let shards = plan_shards(bounds, &hist, self.cfg.shards);
-            let states = shards
-                .iter()
-                .map(|&s| ShardState::new(s, self.cfg.budget))
-                .collect();
-            self.plan = Some(Plan {
-                router: Router::new(&shards),
-                states,
-            });
+            self.states = Some(plan_shards(bounds, &hist, self.cfg.shards, self.cfg.budget));
         }
-        let plan = self.plan.as_mut().expect("planned above");
-        for e in self.buf.drain(..) {
-            route_event(&mut plan.router, e, &mut plan.states);
-        }
+        let states = self.states.as_mut().expect("planned above");
         let pool = &self.pool;
-        let states = &mut plan.states;
+        let events = Stream::Events(&self.buf);
         let res = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| fan_out(pool, reach, states));
+            pool.install(|| fan_out(pool, reach, events, states));
         }));
+        self.buf.clear();
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;
-        self.poisoned = match res {
-            Err(p) => Some(DetectorError::from_panic(p)),
-            Ok(()) => take_poison(states).err(),
-        };
+        self.poisoned = res.err().map(DetectorError::from_panic);
     }
 }
 
@@ -274,24 +254,14 @@ impl Detector<DePaReach> for OnlineEngine {
         if self.poisoned.is_some() {
             return;
         }
-        let plan = match self.plan.take() {
-            Some(p) => p,
-            // No instrumented accesses at all: synthesize the empty shard
-            // set so the outcome shape matches what was asked for.
-            None => Plan {
-                router: Router::new(&plan_shards(None, &[], self.cfg.shards)),
-                states: plan_shards(None, &[], self.cfg.shards)
-                    .iter()
-                    .map(|&sh| ShardState::new(sh, self.cfg.budget))
-                    .collect(),
-            },
-        };
-        let frozen = reach.freeze();
-        let outs: Vec<ShardOutcome> = plan
+        // No instrumented accesses at all: synthesize the empty shard set so
+        // the outcome shape matches what was asked for.
+        let states = self
             .states
-            .into_iter()
-            .map(|st| st.finish(reach, s))
-            .collect();
+            .take()
+            .unwrap_or_else(|| plan_shards(None, &[], self.cfg.shards, self.cfg.budget));
+        let frozen = reach.freeze();
+        let outs: Vec<ShardOutcome> = states.into_iter().map(|st| st.finish(reach, s)).collect();
         let merged = merge_shards(&outs, &frozen, self.spans.as_ref());
         OBS_DEPA_MERGES.incr();
         self.chunks += 1;

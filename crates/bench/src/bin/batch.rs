@@ -5,9 +5,9 @@
 //! sequential STINT replay of it (the single-detector baseline), then times
 //! batch detection over K ∈ {1, 2, 4, 8} address shards with `workers = K`
 //! on the work-stealing pool. Each cell reports `speedup = t_seq / t_batch`
-//! **and the shard work count** — the events actually routed to shard
-//! detectors, which the O(n) partition pass keeps within a whisker of the
-//! trace length instead of the K·n of a clip-per-shard rescan. The
+//! **and the shard work count** — the events actually fed to shard
+//! detectors, which shard-side clipping keeps within a whisker of the
+//! trace length instead of the K·n of replaying every event in every shard. The
 //! headline number is the geomean speedup at K=4 over the *large*
 //! benchmarks (traces with at least [`LARGE_EVENTS`] events — small traces
 //! are fan-out-overhead-bound and say nothing about scalability).

@@ -217,7 +217,7 @@ fn memseries(series_path: &str, stats_path: Option<&str>) {
 /// speedup gate in `perfgate --check` keys off it). A stale v1 report is a
 /// *loud* usage failure (exit 2): regenerate it with the current `batch`
 /// binary rather than gating on numbers that no longer measure the
-/// partition pass.
+/// sharded detectors' work.
 fn batch(path: &str) {
     let doc = load(path);
     let got = doc.get("schema").and_then(Value::as_str).unwrap_or("");

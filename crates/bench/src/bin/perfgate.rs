@@ -270,8 +270,9 @@ fn check_space_report(path: &str) {
 const BATCH_SPEEDUP_BAR: f64 = 1.5;
 const BATCH_HW_FLOOR: u64 = 4;
 /// Work-count bound at K=1: the single shard must touch at most ~1.1x the
-/// trace's events — the O(n) partition pass never rescans, so anything
-/// beyond rounding slack means a clip-per-shard regression.
+/// trace's events — a shard feeds its detector only the events it
+/// overlaps, so anything beyond rounding slack means a replay-everything
+/// regression.
 const BATCH_K1_WORK_BAR: f64 = 1.1;
 /// Work-count bound at any K: total routed events stay near-linear in the
 /// trace length (straddler clips and per-shard strand-end markers are the

@@ -21,9 +21,14 @@
 //! * Panics inside either closure are captured and propagated to the caller
 //!   of `join`, preserving the serial-elision semantics.
 //!
-//! This runtime exists so the examples can demonstrate that the benchmark
-//! kernels really are parallel programs (and to measure parallel speedup as
-//! a sanity check); the race detectors never use it.
+//! The examples use this runtime to show that the benchmark kernels really
+//! are parallel programs. The batch and parallel-online detection tiers in
+//! `stint-batchdet` run on it too: they fan per-shard detectors out with
+//! [`ThreadPool::join`] and overlap trace decoding with detection.
+//!
+//! A thread outside the pool that calls [`ThreadPool::install`] spins
+//! briefly, then blocks on a per-job latch until a worker finishes the job,
+//! so a waiting caller never holds a CPU the workers need.
 //!
 //! # Graceful degradation
 //!
@@ -31,11 +36,13 @@
 //! fails (a real `std::thread::Builder::spawn` error, or a
 //! `worker-spawn-fail` fault plan), the pool simply runs with fewer workers
 //! — ultimately zero, in which case [`ThreadPool::join`] and
-//! [`ThreadPool::install`] execute sequentially on the caller. Workers that
-//! die after startup (`worker-panic` fault) are tracked by a live-worker
-//! count; once none remain, external submissions are drained and executed
-//! inline by the waiting caller, so nothing hangs and nothing is lost. Each
-//! degradation is logged to stderr once per process.
+//! [`ThreadPool::install`] execute sequentially on the caller. Construction
+//! waits until every spawned worker has started, so a live-worker count of
+//! zero always means "every worker died", never "none started yet". Workers
+//! that die (`worker-panic` fault) are tracked by that count; once none
+//! remain, external submissions are drained and executed inline by the
+//! waiting caller, so nothing hangs and nothing is lost. Each degradation is
+//! logged to stderr once per process.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -46,6 +53,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A type-erased pointer to a job plus its execute function.
 #[derive(Clone, Copy)]
@@ -65,19 +73,89 @@ impl JobRef {
     }
 }
 
-/// A job allocated in the frame of the `join` that spawned it.
-struct StackJob<F, R> {
-    f: UnsafeCell<Option<F>>,
-    result: UnsafeCell<Option<std::thread::Result<R>>>,
-    done: AtomicBool,
+/// Completion signal of a [`StackJob`]. `set` must be the job's last touch
+/// of its own frame: the waiter may return (and pop the frame) as soon as
+/// it observes the latch set. `set` stores with `Release` and `probe` loads
+/// with `Acquire`, so a waiter that sees the latch set also sees the result
+/// the job wrote before setting it.
+trait Latch {
+    fn set(&self);
+    fn probe(&self) -> bool;
 }
 
-impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
-    fn new(f: F) -> Self {
+/// The latch of a `join`'s stolen half: the waiting worker polls it while
+/// it helps with other work.
+struct SpinLatch(AtomicBool);
+
+impl Latch for SpinLatch {
+    fn set(&self) {
+        self.0.store(true, Ordering::Release);
+    }
+
+    fn probe(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+}
+
+/// The latch of an `install` job: the waiting caller is not a worker, so
+/// after a short spin it sleeps on the condvar until the job sets the flag.
+struct LockLatch {
+    done: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl LockLatch {
+    fn new() -> Self {
+        LockLatch {
+            done: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Sleep until the latch is set or `timeout` passes.
+    fn wait_for(&self, timeout: Duration) {
+        let mut g = self.lock.lock();
+        if !self.probe() {
+            self.cv.wait_for(&mut g, timeout);
+        }
+    }
+
+    /// Wait out `set`'s critical section. `done` becomes visible while the
+    /// setter still holds the lock, so a waiter that saw it must take the
+    /// lock once before the latch may be dropped.
+    fn settle(&self) {
+        drop(self.lock.lock());
+    }
+}
+
+impl Latch for LockLatch {
+    fn set(&self) {
+        let _g = self.lock.lock();
+        self.done.store(true, Ordering::Release);
+        self.cv.notify_all();
+    }
+
+    fn probe(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+}
+
+/// A job allocated in the frame of the `join` (or `install`) that spawned
+/// it.
+struct StackJob<L, F, R> {
+    latch: L,
+    f: UnsafeCell<Option<F>>,
+    result: UnsafeCell<Option<std::thread::Result<R>>>,
+}
+
+impl<L: Latch, F: FnOnce() -> R + Send, R: Send> StackJob<L, F, R> {
+    fn new(latch: L, f: F) -> Self {
         StackJob {
+            latch,
             f: UnsafeCell::new(Some(f)),
             result: UnsafeCell::new(None),
-            done: AtomicBool::new(false),
         }
     }
 
@@ -93,15 +171,18 @@ impl<F: FnOnce() -> R + Send, R: Send> StackJob<F, R> {
         let f = (*this.f.get()).take().expect("job executed twice");
         let res = panic::catch_unwind(AssertUnwindSafe(f));
         *this.result.get() = Some(res);
-        this.done.store(true, Ordering::Release);
+        this.latch.set();
     }
 
-    unsafe fn take_result(&self) -> R {
-        debug_assert!(self.done.load(Ordering::Acquire));
-        match (*self.result.get()).take().expect("result missing") {
-            Ok(r) => r,
-            Err(payload) => panic::resume_unwind(payload),
-        }
+    /// The job's outcome: its value, or the payload of its panic.
+    ///
+    /// # Safety
+    ///
+    /// The latch must have been observed set, so the job has run and no
+    /// other thread still touches it.
+    unsafe fn into_result(self) -> std::thread::Result<R> {
+        debug_assert!(self.latch.probe());
+        self.result.into_inner().expect("result missing")
     }
 }
 
@@ -134,6 +215,11 @@ struct Shared {
     /// including unwinds, via a drop guard in `worker_main`; `install` falls
     /// back to draining the injector inline when this reaches zero.
     alive: AtomicUsize,
+    /// Workers that have announced themselves in `alive` (and may since
+    /// have died); `with_seed` waits on `started_cv` until every spawned
+    /// worker has, so `alive == 0` never means "not started yet".
+    started: Mutex<usize>,
+    started_cv: Condvar,
     /// Count of sleeping workers plus the condvar they sleep on.
     sleepers: AtomicUsize,
     lock: Mutex<()>,
@@ -177,6 +263,11 @@ fn log_degradation_once(what: &str) {
         eprintln!("cilkrt: degraded: {what}");
     }
 }
+
+/// Spin iterations an `install` caller polls its job before sleeping: long
+/// enough to catch a job that finishes within a few microseconds, short
+/// enough that a waiting caller does not hold a CPU the workers need.
+const INSTALL_SPINS: u32 = 64;
 
 thread_local! {
     /// (pool shared ptr, worker index) when the current thread is a worker.
@@ -236,6 +327,8 @@ impl ThreadPool {
             stealers,
             shutdown: AtomicBool::new(false),
             alive: AtomicUsize::new(0),
+            started: Mutex::new(0),
+            started_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             lock: Mutex::new(()),
             wake: Condvar::new(),
@@ -271,6 +364,13 @@ impl ThreadPool {
             }
         }
         OBS_WORKERS_SPAWNED.add(handles.len() as u64);
+        // Startup barrier: every spawned worker counts itself in `alive`
+        // before `started`, so from here on `alive == 0` means all died.
+        let mut started = shared.started.lock();
+        while *started < handles.len() {
+            shared.started_cv.wait(&mut started);
+        }
+        drop(started);
         if failed > 0 {
             log_degradation_once(&format!(
                 "{failed} of {threads} workers failed to spawn; continuing with {}{}",
@@ -320,7 +420,8 @@ impl ThreadPool {
     }
 
     /// Run `f` inside the pool and return its result. If called from one of
-    /// this pool's workers, runs inline.
+    /// this pool's workers, runs inline. Otherwise the caller spins briefly,
+    /// then sleeps on the job's latch until a worker has run it.
     pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         if on_this_pool(&self.shared) {
             return f();
@@ -329,19 +430,21 @@ impl ThreadPool {
             // Degraded pool with no workers at all: sequential execution.
             return f();
         }
-        let job = StackJob::new(f);
+        let job = StackJob::new(LockLatch::new(), f);
         OBS_JOBS_INJECTED.incr();
         self.shared.injector.push(job.as_job_ref());
         self.shared.notify();
         // Wait without helping: the caller is not a worker.
         let mut spins = 0u32;
-        while !job.done.load(Ordering::Acquire) {
+        while !job.latch.probe() {
             if self.shared.alive.load(Ordering::Acquire) == 0 {
-                // Every worker died (or none started yet). Injected jobs can
-                // only be waiting in the injector — a worker that popped one
-                // executes it immediately and `StackJob::execute` survives
-                // panics — so draining the injector inline is complete: our
-                // job either runs here or `done` was already set.
+                // Every worker died (the startup barrier rules out "not
+                // started yet"). Injected jobs can only be waiting in the
+                // injector — a worker that popped one executes it
+                // immediately and `StackJob::execute` survives panics — so
+                // draining the injector inline is complete: our job either
+                // runs here or is being finished by another draining
+                // caller, whose `set` wakes us.
                 loop {
                     match self.shared.injector.steal() {
                         crossbeam::deque::Steal::Success(j) => unsafe { j.execute() },
@@ -349,26 +452,22 @@ impl ThreadPool {
                         crossbeam::deque::Steal::Empty => break,
                     }
                 }
-                if job.done.load(Ordering::Acquire) {
-                    break;
-                }
-                if self.shared.alive.load(Ordering::Acquire) == 0 {
-                    // Drained and still no workers: the job is either done
-                    // (checked next iteration) or being finished inline by
-                    // another draining thread — yield until it lands.
-                    std::thread::yield_now();
-                    continue;
-                }
-            }
-            spins += 1;
-            if spins < 64 {
+            } else if spins < INSTALL_SPINS {
+                spins += 1;
                 std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+                continue;
             }
+            // The timeout only bounds how late a waiter notices that the
+            // last worker died; a finished job wakes it at once.
+            job.latch.wait_for(Duration::from_millis(5));
         }
-        // SAFETY: done is set, result is present, we are the only consumer.
-        unsafe { job.take_result() }
+        job.latch.settle();
+        // SAFETY: the latch is set, so the result is present; we are its
+        // only consumer.
+        match unsafe { job.into_result() } {
+            Ok(r) => r,
+            Err(payload) => panic::resume_unwind(payload),
+        }
     }
 
     /// Cilk-style fork-join: potentially run `a` and `b` in parallel,
@@ -476,14 +575,17 @@ where
                 return (ra, rb);
             }
         };
-        let bjob = StackJob::new(b);
+        let bjob = StackJob::new(SpinLatch(AtomicBool::new(false)), b);
         OBS_SPAWNS.incr();
         ctx.deque.push(bjob.as_job_ref());
         ctx.shared.notify();
-        let ra = a();
+        // `b` lives in this frame, so a panicking `a` must not unwind past
+        // it while a thief may still be running it: catch, finish `b`, and
+        // only then resume the unwind.
+        let ra = panic::catch_unwind(AssertUnwindSafe(a));
         // Try to take b back; if stolen, help with other work until done.
         loop {
-            if bjob.done.load(Ordering::Acquire) {
+            if bjob.latch.probe() {
                 break;
             }
             match ctx.deque.pop() {
@@ -509,8 +611,12 @@ where
                 }
             }
         }
-        let rb = unsafe { bjob.take_result() };
-        (ra, rb)
+        // SAFETY: b's latch is set and nothing else reads its result.
+        let rb = unsafe { bjob.into_result() };
+        match (ra, rb) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(p), _) | (_, Err(p)) => panic::resume_unwind(p),
+        }
     })
 }
 
@@ -585,6 +691,8 @@ fn worker_main(
     let _alive = AliveGuard {
         shared: Arc::clone(&shared),
     };
+    *shared.started.lock() += 1;
+    shared.started_cv.notify_all();
     if panic_at_start {
         // `worker-panic` fault: the thread dies right after announcing
         // itself, exercising the all-workers-dead paths.
@@ -641,7 +749,6 @@ fn worker_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     fn fib(pool: &ThreadPool, n: u64) -> u64 {
         if n < 2 {
@@ -705,27 +812,65 @@ mod tests {
 
     #[test]
     fn work_actually_distributes() {
-        // With enough coarse tasks, more than one worker should run them.
+        // The first install on a fresh pool runs on a worker, and a join
+        // whose first half waits for its second proves a second worker ran
+        // it: the forking worker is busy in `a`, so only a thief can run `b`.
         let pool = ThreadPool::new(4);
-        let seen = AtomicU64::new(0);
-        pool.install(|| {
-            fn go(pool: &ThreadPool, depth: u32, seen: &AtomicU64) {
-                WORKER.with(|w| {
-                    let (_, idx) = w.get().unwrap();
-                    seen.fetch_or(1 << idx, Ordering::Relaxed);
-                });
-                if depth == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    return;
-                }
-                pool.join(|| go(pool, depth - 1, seen), || go(pool, depth - 1, seen));
-            }
-            go(&pool, 5, &seen);
+        let worker = || WORKER.with(|w| w.get().map(|(_, idx)| idx));
+        let b_ran = AtomicBool::new(false);
+        let (a_idx, b_idx) = pool.install(|| {
+            pool.join(
+                || {
+                    let t0 = std::time::Instant::now();
+                    while !b_ran.load(Ordering::Acquire) {
+                        assert!(t0.elapsed().as_secs() < 60, "b was never stolen");
+                        std::thread::yield_now();
+                    }
+                    worker()
+                },
+                || {
+                    b_ran.store(true, Ordering::Release);
+                    worker()
+                },
+            )
         });
-        assert!(
-            seen.load(Ordering::Relaxed).count_ones() >= 2,
-            "work never left one worker"
+        let (a_idx, b_idx) = (
+            a_idx.expect("a ran off-pool"),
+            b_idx.expect("b ran off-pool"),
         );
+        assert_ne!(a_idx, b_idx, "work never left one worker");
+    }
+
+    #[test]
+    fn panicking_first_half_waits_for_stolen_second_half() {
+        let pool = ThreadPool::new(2);
+        let b_done = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.join(
+                || panic!("a fails first"),
+                || {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    b_done.store(true, Ordering::Release);
+                },
+            )
+        }));
+        let payload = result.expect_err("a's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a fails first"));
+        assert!(
+            b_done.load(Ordering::Acquire),
+            "join unwound before its second half finished"
+        );
+        assert_eq!(pool.install(|| 7), 7);
+    }
+
+    #[test]
+    fn install_outlasting_the_spin_window_returns() {
+        let pool = ThreadPool::new(2);
+        let r = pool.install(|| {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            6 * 7
+        });
+        assert_eq!(r, 42);
     }
 
     #[test]

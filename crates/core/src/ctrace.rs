@@ -171,7 +171,7 @@ impl EventRun {
     }
 
     /// Address of the run's last event.
-    fn last_addr(&self) -> usize {
+    pub fn last_addr(&self) -> usize {
         (self.addr as i64).wrapping_add(self.stride.wrapping_mul(self.count as i64 - 1)) as usize
     }
 
@@ -542,6 +542,13 @@ impl<R: BufRead> CompressedTraceReader<R> {
     /// `InvalidData` errors.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
         out.clear();
+        self.append_chunk(out)
+    }
+
+    /// [`CompressedTraceReader::next_chunk`] without the clear: the chunk's
+    /// runs are appended after what `out` already holds, so several chunks
+    /// can be decoded into one batch.
+    pub fn append_chunk(&mut self, out: &mut Vec<EventRun>) -> io::Result<bool> {
         if self.events_seen >= self.total_events {
             return Ok(false);
         }
