@@ -1,8 +1,9 @@
 //! Ablation A: interval-store implementations head to head — the paper's
 //! treap vs the `BTreeMap` flat store ("any balanced BST would work") — on
 //! the workload shapes the detectors generate: disjoint streams (deep
-//! trees), replacing streams (serial reuse), and covering writes
-//! (REMOVEOVERLAP-heavy).
+//! trees), replacing streams (serial reuse), covering writes
+//! (REMOVEOVERLAP-heavy), and mmul-like re-access of a fixed block pool
+//! (the treap's exact-interval index path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -29,6 +30,25 @@ fn stream(n: usize, space: u64, max_len: u64) -> Vec<(bool, u64, u64, u32)> {
         .collect()
 }
 
+/// mmul-like re-access stream: a fixed pool of 256 blocks of 32 words; each
+/// accessor reads three blocks and writes one, so after warm-up almost every
+/// op names exactly the bounds of a stored interval.
+fn reaccess_stream(n: usize) -> Vec<(bool, u64, u64, u32)> {
+    let mut state: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..n)
+        .map(|i| {
+            let block = next() % 256;
+            (i % 4 == 3, block * 32, 32, ((i / 4) % 1024) as u32)
+        })
+        .collect()
+}
+
 fn drive<S: IntervalStore<u32>>(store: &mut S, ops: &[(bool, u64, u64, u32)]) -> u64 {
     let mut conflicts = 0u64;
     for &(w, s, l, who) in ops {
@@ -43,12 +63,12 @@ fn drive<S: IntervalStore<u32>>(store: &mut S, ops: &[(bool, u64, u64, u32)]) ->
 }
 
 fn bench_stores(c: &mut Criterion) {
-    for (label, space, max_len) in [
-        ("dense", 1u64 << 10, 64u64),
-        ("sparse", 1 << 24, 64),
-        ("covering", 1 << 8, 128),
+    for (label, ops) in [
+        ("dense", stream(20_000, 1 << 10, 64)),
+        ("sparse", stream(20_000, 1 << 24, 64)),
+        ("covering", stream(20_000, 1 << 8, 128)),
+        ("reaccess", reaccess_stream(20_000)),
     ] {
-        let ops = stream(20_000, space, max_len);
         let mut g = c.benchmark_group(format!("ivtree/{label}"));
         g.bench_with_input(BenchmarkId::new("treap", ops.len()), &ops, |b, ops| {
             b.iter(|| {

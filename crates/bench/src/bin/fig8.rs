@@ -1,7 +1,8 @@
 //! Figure 8: scaling study on fft, mmul and sort at three input sizes each —
 //! baseline / comp+rts / STINT times, access-history-only times (hash oh,
 //! treap oh), operation counts, and the treap's average visited nodes and
-//! overlaps per operation (the O(h+k) decomposition of Lemma 4.2).
+//! overlaps per operation (the O(h+k) decomposition of Lemma 4.2), with the
+//! share of operations its exact-interval index resolved at one node.
 
 use stint::Variant;
 use stint_bench::*;
@@ -95,6 +96,7 @@ fn main() {
         "hash ops",
         "treap ops",
         "#nodes",
+        "exact",
         "#overlaps",
     ]);
     for c in cases {
@@ -113,6 +115,7 @@ fn main() {
             format!("{:.2e}", h.stats.hash_ops as f64),
             format!("{:.2e}", s.stats.treap.ops as f64),
             format!("{:.2}", s.stats.treap.avg_visited()),
+            format!("{:.0}%", 100.0 * s.stats.treap.exact_hit_rate()),
             format!("{:.2}", s.stats.treap.avg_overlaps()),
         ]);
     }

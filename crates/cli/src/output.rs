@@ -21,10 +21,11 @@ pub fn print_outcome(bench: &str, o: &Outcome) {
     );
     if o.stats.treap.ops > 0 {
         println!(
-            "  treap:            {} ops, {:.1} nodes/op, {:.2} overlaps/op",
+            "  treap:            {} ops, {:.1} nodes/op, {:.2} overlaps/op, {:.0}% exact hits",
             o.stats.treap.ops,
             o.stats.treap.avg_visited(),
-            o.stats.treap.avg_overlaps()
+            o.stats.treap.avg_overlaps(),
+            100.0 * o.stats.treap.exact_hit_rate()
         );
     }
     if o.stats.hash_ops > 0 {

@@ -141,7 +141,7 @@ impl DetectorStats {
     /// both consume, so the figure tables and the metrics stream can never
     /// disagree on a statistic. `ah_time` is a `Duration` and is reported
     /// separately (as nanoseconds) by callers that want it.
-    pub fn fields(&self) -> [(&'static str, u64); 25] {
+    pub fn fields(&self) -> [(&'static str, u64); 26] {
         [
             ("detector.read_hooks", self.read.hooks),
             ("detector.read_hook_bytes", self.read.hook_bytes),
@@ -157,6 +157,7 @@ impl DetectorStats {
             ("detector.treap_ops", self.treap.ops),
             ("detector.treap_visited", self.treap.visited),
             ("detector.treap_overlaps", self.treap.overlaps),
+            ("detector.treap_exact_hits", self.treap.exact_hits),
             ("detector.strands_flushed", self.strands_flushed),
             ("detector.reach_hits", self.reach_hits),
             ("detector.reach_misses", self.reach_misses),

@@ -16,7 +16,13 @@
 //!   (Lemma 4.2). The implementation follows the paper's case analysis:
 //!   `INSERTWRITEINTERVAL` cases A–D with `REMOVEOVERLAPLEFT`/`-RIGHT`
 //!   (Figures 2–3), and `INSERTREADINTERVAL` with left-of resolution
-//!   (Figure 4).
+//!   (Figure 4). An *exact-interval index* beside the tree maps an
+//!   interval's start to the node last seen holding it; when a stored node
+//!   has exactly the new interval's bounds, the non-overlap invariant makes
+//!   it the only overlap, so the operation is resolved there (case D with
+//!   nothing to remove or re-insert) without the root-to-node walk. The case
+//!   analysis, the tree and the reported conflicts are unchanged; only the
+//!   nodes visited fall (see [`treap`]).
 //! * [`FlatStore`] — the same semantics on a `BTreeMap` keyed by interval
 //!   start. Simpler and obviously correct; used as the differential-testing
 //!   oracle and as the "any balanced BST would work" ablation baseline.
@@ -94,6 +100,9 @@ pub struct OpStats {
     /// Heap bytes held by the store when stats were collected (exact for the
     /// treap arena, an occupancy estimate for the B-tree reference store).
     pub bytes: u64,
+    /// Operations the treap's exact-interval index resolved at one node,
+    /// without a root-to-node walk (always 0 for the B-tree store).
+    pub exact_hits: u64,
 }
 
 impl OpStats {
@@ -102,6 +111,14 @@ impl OpStats {
             0.0
         } else {
             self.visited as f64 / self.ops as f64
+        }
+    }
+    /// Fraction of operations resolved by the exact-interval index.
+    pub fn exact_hit_rate(&self) -> f64 {
+        if self.ops == 0 {
+            0.0
+        } else {
+            self.exact_hits as f64 / self.ops as f64
         }
     }
     pub fn avg_overlaps(&self) -> f64 {
@@ -118,6 +135,7 @@ impl OpStats {
         self.inserts += o.inserts;
         self.len_hw += o.len_hw;
         self.bytes += o.bytes;
+        self.exact_hits += o.exact_hits;
     }
 }
 

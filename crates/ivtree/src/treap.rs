@@ -11,10 +11,32 @@
 //! (write case D, the "middle piece" of the split cases), it keeps its old
 //! priority: priorities are i.i.d. uniform, so the tree's shape distribution
 //! is preserved.
+//!
+//! # Exact-interval index
+//!
+//! Detectors re-access the same blocks strand after strand (on fine-grained
+//! mmul almost every read insert), so many inserts and queries name an
+//! interval whose bounds some stored node already has exactly. Beside the tree sits a direct-mapped `Vec<u32>` from a
+//! multiplicative hash of an interval's start to the arena slot last seen
+//! holding an interval with that start (written at allocation, at every
+//! in-place payload replacement, and when a walk meets a node whose bounds
+//! are exactly the new interval's, so a missed entry is repaired). A
+//! lookup hits only if the slot still holds exactly `[lo, hi)` — freed slots
+//! are poisoned with `end = 0` — so a stale entry can only miss. By the
+//! non-overlap invariant a stored `[lo, hi)` is the *only* stored overlap of
+//! `[lo, hi)`, so a hit resolves the operation at that one node: it is the
+//! node the paper's walk would reach, in write/read case D with nothing left
+//! to remove or re-insert, and with no rotation or priority draw. The index
+//! therefore changes neither the tree (contents and shape), the priority
+//! stream, nor the conflict callbacks and their order — only the number of
+//! nodes visited.
 
 use crate::{Interval, IntervalStore, OpStats};
 
 const NIL: u32 = u32::MAX;
+
+/// Smallest exact-interval index (slots); it doubles as the tree grows.
+const MIN_INDEX_BITS: u32 = 4;
 
 // Observability (no-ops costing one relaxed load while `stint-obs` is
 // disabled). `ivtree.op_visited` buckets the nodes visited per top-level
@@ -23,6 +45,7 @@ const NIL: u32 = u32::MAX;
 static OBS_INSERTS: stint_obs::Counter = stint_obs::Counter::new("ivtree.inserts");
 static OBS_QUERIES: stint_obs::Counter = stint_obs::Counter::new("ivtree.queries");
 static OBS_ROTATIONS: stint_obs::Counter = stint_obs::Counter::new("ivtree.rotations");
+static OBS_EXACT_HITS: stint_obs::Counter = stint_obs::Counter::new("ivtree.exact_hits");
 static OBS_NODES: stint_obs::Gauge = stint_obs::Gauge::new("ivtree.nodes");
 static OBS_BYTES: stint_obs::Gauge = stint_obs::Gauge::new("ivtree.bytes");
 static OBS_OP_VISITED: stint_obs::Histogram = stint_obs::Histogram::new("ivtree.op_visited");
@@ -83,6 +106,12 @@ pub struct Treap<A> {
     /// (zero while obs is disabled — `Gauge::reconcile` no-ops).
     owned_bytes: u64,
     owned_nodes: u64,
+    /// Exact-interval index (see the module docs): `index[hash(start)]` is
+    /// the arena slot last seen holding an interval that starts at `start`,
+    /// or `NIL`. Its length is a power of two no smaller than `len`.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the hash keeps the product's top bits.
+    index_shift: u32,
 }
 
 impl<A: Copy> Default for Treap<A> {
@@ -116,6 +145,8 @@ impl<A: Copy> Treap<A> {
             hi_bound: 0,
             owned_bytes: 0,
             owned_nodes: 0,
+            index: Vec::new(),
+            index_shift: 64,
         }
     }
 
@@ -142,10 +173,12 @@ impl<A: Copy> Treap<A> {
         self.node_cap = cap.min(NIL as usize) as u32;
     }
 
-    /// Heap bytes currently owned by the arena (node slab + free list).
+    /// Heap bytes currently owned by the arena (node slab + free list +
+    /// exact-interval index).
     pub fn heap_bytes(&self) -> u64 {
         (self.nodes.capacity() * std::mem::size_of::<Node<A>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+            + (self.free.capacity() + self.index.capacity()) * std::mem::size_of::<u32>())
+            as u64
     }
 
     /// Publish the arena's live footprint to the `ivtree.*` gauges.
@@ -198,8 +231,68 @@ impl<A: Copy> Treap<A> {
             self.nodes.push(node);
             i
         };
+        if self.len > self.index.len() {
+            self.grow_index();
+        }
+        self.index_note(slot);
         self.note_mem();
         slot
+    }
+
+    /// Double the exact-interval index (to the next power of two no smaller
+    /// than `len`) and re-enter every live node under the wider hash.
+    #[cold]
+    #[inline(never)]
+    fn grow_index(&mut self) {
+        let bits = self
+            .len
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(MIN_INDEX_BITS);
+        self.index_shift = 64 - bits;
+        self.index.clear();
+        self.index.resize(1 << bits, NIL);
+        for t in 0..self.nodes.len() as u32 {
+            if self.n(t).end != 0 {
+                self.index_note(t);
+            }
+        }
+    }
+
+    /// Index slot of an interval starting at `start` (Fibonacci hashing).
+    #[inline]
+    fn index_slot(&self, start: u64) -> usize {
+        (start.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
+    }
+
+    /// Record node `t` in the exact-interval index under its current start.
+    #[inline]
+    fn index_note(&mut self, t: u32) {
+        let h = self.index_slot(self.n(t).start);
+        self.index[h] = t;
+    }
+
+    /// The stored node whose bounds are exactly `[lo, hi)`, if the index
+    /// knows it. Only called when the tree is non-empty (so the index is
+    /// allocated); a freed slot has `end == 0 < hi` and never validates.
+    #[inline]
+    fn find_exact(&self, lo: u64, hi: u64) -> Option<u32> {
+        let t = self.index[self.index_slot(lo)];
+        if t == NIL {
+            return None;
+        }
+        let n = self.n(t);
+        (n.start == lo && n.end == hi).then_some(t)
+    }
+
+    /// Count an operation resolved by the exact-interval index: one node
+    /// touched, one overlap met (the walk it replaces met the same one).
+    #[inline]
+    fn note_exact_hit(&mut self) {
+        self.stats.visited += 1;
+        self.stats.overlaps += 1;
+        self.stats.exact_hits += 1;
+        OBS_EXACT_HITS.incr();
     }
 
     /// Arena slots ran out (either the configured [`Self::set_node_cap`]
@@ -217,9 +310,12 @@ impl<A: Copy> Treap<A> {
         .raise()
     }
 
+    /// Free slot `t`. Its `end` is poisoned to 0 so that no exact-interval
+    /// index entry still naming it can validate.
     #[inline]
     fn dealloc(&mut self, t: u32) {
         self.len -= 1;
+        self.nm(t).end = 0;
         self.free.push(t);
         self.note_mem();
     }
@@ -433,16 +529,23 @@ impl<A: Copy> Treap<A> {
         if x.start <= ys && ye <= x.end {
             // Case D: x fully covers y. Replace y's payload in place (keeping
             // its priority) and flush remaining overlaps out of both subtrees.
+            // A subtree on a side where x and y share the bound lies wholly
+            // beyond x (it is disjoint from y), so it is left untouched.
             {
                 let node = self.nm(t);
                 node.start = x.start;
                 node.end = x.end;
                 node.who = x.who;
             }
-            let nl = self.remove_overlap_left(self.n(t).left, x.start, cb);
-            self.nm(t).left = nl;
-            let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
-            self.nm(t).right = nr;
+            self.index_note(t);
+            if x.start != ys {
+                let nl = self.remove_overlap_left(self.n(t).left, x.start, cb);
+                self.nm(t).left = nl;
+            }
+            if x.end != ye {
+                let nr = self.remove_overlap_right(self.n(t).right, x.end, cb);
+                self.nm(t).right = nr;
+            }
             t
         } else if ys <= x.start && x.end <= ye {
             // Case C: y fully covers x (strictly on at least one side).
@@ -455,6 +558,7 @@ impl<A: Copy> Treap<A> {
                 node.end = x.end;
                 node.who = x.who;
             }
+            self.index_note(t);
             let mut t = t;
             if ys < x.start {
                 let p = self.next_prio();
@@ -509,6 +613,9 @@ impl<A: Copy> Treap<A> {
             if keep_new(y_who) {
                 self.nm(t).who = x.who;
             }
+            if x.start == ys && x.end == ye {
+                self.index_note(t);
+            }
             let mut t = t;
             if x.start < ys {
                 t = self.ir(t, Interval::new(x.start, ys, x.who), keep_new);
@@ -528,6 +635,7 @@ impl<A: Copy> Treap<A> {
                     node.end = x.end;
                     node.who = x.who;
                 }
+                self.index_note(t);
                 let mut t = t;
                 if ys < x.start {
                     let p = self.next_prio();
@@ -585,6 +693,9 @@ impl<A: Copy> Treap<A> {
             self.qo(self.n(t).right, lo, hi, f);
         } else {
             self.stats.overlaps += 1;
+            if ys == lo && ye == hi {
+                self.index_note(t);
+            }
             f(who, lo.max(ys), hi.min(ye));
             if lo < ys {
                 self.qo(self.n(t).left, lo, hi, f);
@@ -719,6 +830,13 @@ impl<A: Copy> Treap<A> {
         }
     }
 
+    /// Forget every exact-interval index entry, so the next operation walks
+    /// (tests: the walk is the reference the index must reproduce).
+    #[cfg(test)]
+    fn clear_index(&mut self) {
+        self.index.fill(NIL);
+    }
+
     /// Height of the tree (tests/benches; O(n)).
     pub fn height(&self) -> usize {
         fn h<A>(nodes: &[Node<A>], t: u32) -> usize {
@@ -753,6 +871,13 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
             // same priority draw, no conflicts to report).
             let p = self.next_prio();
             self.root = self.insert_disjoint(self.root, x, p);
+        } else if let Some(t) = self.find_exact(x.start, x.end) {
+            // Exact hit: the walk would end at `t` in case D with nothing to
+            // remove on either side — report `t`'s accessor, replace it.
+            self.note_exact_hit();
+            let old = self.n(t).who;
+            conflict(old, x.start, x.end);
+            self.nm(t).who = x.who;
         } else {
             self.root = self.iw(self.root, x, &mut conflict);
         }
@@ -771,6 +896,13 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
         if self.misses_cover(x.start, x.end) {
             let p = self.next_prio();
             self.root = self.insert_disjoint(self.root, x, p);
+        } else if let Some(t) = self.find_exact(x.start, x.end) {
+            // Exact hit: read case D with no flanks — the leftmost of the
+            // two readers keeps the interval.
+            self.note_exact_hit();
+            if is_new_left_of(self.n(t).who) {
+                self.nm(t).who = x.who;
+            }
         } else {
             self.root = self.ir(self.root, x, &mut is_new_left_of);
         }
@@ -792,7 +924,14 @@ impl<A: Copy> IntervalStore<A> for Treap<A> {
             return;
         }
         let visited_before = self.stats.visited;
-        self.qo(self.root, lo, hi, &mut f);
+        if let Some(t) = self.find_exact(lo, hi) {
+            // Exact hit: the one stored overlap of `[lo, hi)`.
+            self.note_exact_hit();
+            let n = self.n(t);
+            f(n.who, lo, hi);
+        } else {
+            self.qo(self.root, lo, hi, &mut f);
+        }
         if stint_obs::is_enabled() {
             OBS_QUERIES.incr();
             OBS_OP_VISITED.observe(self.stats.visited - visited_before);
@@ -910,8 +1049,169 @@ mod tests {
         t.to_vec().iter().map(|i| (i.start, i.end, i.who)).collect()
     }
 
+    /// Fault plans are process-global and sampled at construction: tests
+    /// that install one, or whose assertions depend on the tree's shape,
+    /// hold this lock so a plan cannot leak into a concurrent test's treap.
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Everything `OpStats` records except what the index is allowed to
+    /// change (nodes visited, and the hits themselves).
+    fn walk_free_stats(t: &Treap<u32>) -> (u64, u64, u64, u64, u64) {
+        let s = t.stats();
+        (s.ops, s.overlaps, s.inserts, s.len_hw, s.bytes)
+    }
+
+    /// Run one re-access stream on two same-seed treaps, one of which has its
+    /// exact-interval index cleared before every operation, and require the
+    /// two to be indistinguishable: contents, shape (height), the conflict
+    /// and left-of callbacks *in order*, and every counter but `visited`.
+    fn index_matches_walk(degenerate: bool) {
+        let mut state: u64 = 0xC0FF_EE00_1234_5678;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut indexed: Treap<u32> = Treap::with_seed(99);
+        let mut walked: Treap<u32> = Treap::with_seed(99);
+        assert_eq!(
+            (indexed.degenerate, walked.degenerate),
+            (degenerate, degenerate)
+        );
+        for i in 0..6_000 {
+            let who = (next() % 32) as u32;
+            let (lo, hi) = match next() % 12 {
+                // Covering access: splits, trims and frees pooled slots.
+                0 => {
+                    let lo = next() % 512;
+                    (lo, lo + 16 + next() % 96)
+                }
+                // Pooled 8-word block (every fifth shifted to straddle).
+                _ => {
+                    let b = next() % 64;
+                    let lo = b * 8 - if b % 5 == 4 { 4 } else { 0 };
+                    (lo, lo + 8)
+                }
+            };
+            let kind = next() % 3;
+            walked.clear_index();
+            let mut logs: [Vec<(u32, u64, u64)>; 2] = [Vec::new(), Vec::new()];
+            for (t, log) in [&mut indexed, &mut walked].into_iter().zip(logs.iter_mut()) {
+                match kind {
+                    0 => t.insert_write(iv(lo, hi, who), |w, a, b| log.push((w, a, b))),
+                    1 => t.insert_read(iv(lo, hi, who), |old| {
+                        log.push((old, 0, 0));
+                        (old ^ 7) > (who ^ 7)
+                    }),
+                    _ => t.query_overlaps(lo, hi, |w, a, b| log.push((w, a, b))),
+                }
+            }
+            assert_eq!(logs[0], logs[1], "callbacks diverged at op {i}");
+            assert_eq!(contents(&indexed), contents(&walked), "op {i}");
+            assert_eq!(indexed.height(), walked.height(), "op {i}");
+            assert_eq!(
+                walk_free_stats(&indexed),
+                walk_free_stats(&walked),
+                "op {i}"
+            );
+            if i % 512 == 0 {
+                indexed.check_invariants();
+            }
+        }
+        let (hit, walk) = (indexed.stats(), walked.stats());
+        assert_eq!(walk.exact_hits, 0);
+        assert!(
+            hit.exact_hits * 3 >= hit.ops,
+            "{} hits of {} ops",
+            hit.exact_hits,
+            hit.ops
+        );
+        assert!(hit.visited < walk.visited);
+    }
+
+    #[test]
+    fn walks_ending_on_exact_bounds_repair_the_index() {
+        let mut t = Treap::new();
+        for i in 0..64 {
+            t.insert_write(iv(i * 8, i * 8 + 8, 1), |_, _, _| {});
+        }
+        let hits = |t: &Treap<u32>| t.stats().exact_hits;
+        assert_eq!(hits(&t), 0);
+        // Each kind of op: a walk that meets the exact bounds (index
+        // forgotten) re-enters the node, so the same op then hits.
+        for op in 0..3 {
+            t.clear_index();
+            for _ in 0..2 {
+                match op {
+                    0 => t.insert_write(iv(80, 88, 2), |_, _, _| {}),
+                    1 => t.insert_read(iv(80, 88, 2), |_| false),
+                    _ => t.query_overlaps(80, 88, |_, _, _| {}),
+                }
+            }
+            assert_eq!(hits(&t), op + 1, "op kind {op}");
+        }
+    }
+
+    #[test]
+    fn created_and_replaced_intervals_are_indexed() {
+        // Does an exact query of `[lo, hi)` resolve at one node?
+        fn hits(t: &mut Treap<u32>, lo: u64, hi: u64) -> bool {
+            let before = t.stats().exact_hits;
+            t.query_overlaps(lo, hi, |_, _, _| {});
+            t.stats().exact_hits == before + 1
+        }
+        let mut w = Treap::new();
+        for i in 0..64 {
+            w.insert_write(iv(1000 + i * 8, 1008 + i * 8, 1), |_, _, _| {});
+        }
+        // The first interval's entry survived the index doubling to 32 and
+        // to 64 slots (a growth re-enters every live node).
+        assert!(hits(&mut w, 1000, 1008));
+        // Allocation, outside the cover and inside it.
+        w.insert_write(iv(100, 108, 2), |_, _, _| {});
+        assert!(hits(&mut w, 100, 108));
+        w.insert_write(iv(1600, 1604, 2), |_, _, _| {});
+        assert!(hits(&mut w, 1600, 1604));
+        // Write case C: the covering node takes the middle piece in place
+        // (a new start, so only the fill can index it; the remnants do not
+        // grow the index, whose rehash would index it too).
+        w.insert_write(iv(1018, 1022, 3), |_, _, _| {});
+        assert!(hits(&mut w, 1018, 1022));
+        // Write case D: the covered node takes the wider interval in place.
+        w.insert_write(iv(1100, 1124, 4), |_, _, _| {});
+        assert!(hits(&mut w, 1100, 1124));
+        // Read case C, new reader wins: the middle piece replaces in place.
+        let mut r = Treap::new();
+        for i in 0..40 {
+            r.insert_read(iv(i * 64, i * 64 + 64, 1), |_| true);
+        }
+        r.insert_read(iv(80, 88, 2), |_| true);
+        assert!(hits(&mut r, 80, 88));
+    }
+
+    #[test]
+    fn exact_index_matches_walk() {
+        let _lock = fault_lock();
+        index_matches_walk(false);
+    }
+
+    #[test]
+    fn exact_index_matches_walk_degenerate() {
+        let _lock = fault_lock();
+        let _plan = stint_faults::ScopedPlan::install(stint_faults::FaultPlan {
+            treap_degenerate: true,
+            ..Default::default()
+        });
+        index_matches_walk(true);
+    }
+
     #[test]
     fn degenerate_priorities_keep_results_correct() {
+        let _lock = fault_lock();
         // Under the `treap-degenerate` fault the tree is list-shaped but must
         // return exactly the results of a healthy treap.
         let ops: Vec<(u64, u64, u32)> = (0..200)
@@ -1162,6 +1462,7 @@ mod tests {
 
     #[test]
     fn heights_stay_logarithmic() {
+        let _lock = fault_lock();
         let mut t = Treap::new();
         // Sorted insertion order — worst case for an unbalanced BST.
         for i in 0..10_000u64 {

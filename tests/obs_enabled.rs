@@ -132,6 +132,13 @@ fn metrics_cover_every_layer_and_agree_with_stats() {
     // Histograms: ivtree always observes per-op visit counts; om's relabel
     // width shows up only when the run actually relabeled.
     assert!(metrics.contains("\"ivtree.op_visited\""), "{metrics}");
+    // The exact-interval index's hit counter is process-wide (every treap,
+    // batch shards included), so it covers the sequential run's own hits.
+    assert!(stint_run.stats.treap.exact_hits > 0);
+    assert!(
+        counter(&metrics, "ivtree.exact_hits").unwrap_or(0) >= stint_run.stats.treap.exact_hits,
+        "{metrics}"
+    );
     if counter(&metrics, "om.relabels").unwrap_or(0) > 0 {
         assert!(metrics.contains("\"om.relabel_width\""), "{metrics}");
     }

@@ -1,8 +1,8 @@
-//! Hot-path differential property tests: the optimized detector paths (page
-//! batching + hook filter, strand-local reachability memoization) must report
-//! exactly the racy words the legacy paths report, for every variant, on
-//! proptest-generated fork-join programs (with shrinking to a small witness
-//! on failure).
+//! Hot-path differential property tests: the optimized detector paths
+//! (batched STINT flush and page-batched shadow replay, strand-local
+//! reachability memoization) must report exactly the racy words the legacy
+//! paths report, for every variant, on proptest-generated fork-join programs
+//! (with shrinking to a small witness on failure).
 
 use proptest::prelude::*;
 use stint_repro::{detect_with, Config, HotPath, Variant};
